@@ -12,10 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .backward import pred_basis
+from .backward import pred_basis, replay_chain
 from .errors import InputError
 from .ideals import Marking, OmegaMarking
-from .petri import LabeledPetriNet, covers, fire
+from .petri import LabeledPetriNet
 
 Edge = tuple[str, str, str]
 
@@ -287,30 +287,8 @@ def net_automaton_intersection_witness(
     for q0 in sorted(a.initial):
         for b in basis.get(q0, ()):
             if all(x <= y for x, y in zip(b, net.initial)):
-                return _replay_chain(net, parents, (q0, b))
+                return replay_chain(net, parents, (q0, b))
     return None
-
-
-def _replay_chain(
-    net: LabeledPetriNet,
-    parents: dict[tuple[str, Marking], tuple[str, tuple[str, Marking]] | None],
-    node: tuple[str, Marking],
-) -> tuple[str, ...]:
-    """Fire the recorded backward chain forward from the initial marking.
-
-    Each chain link fires from a marking dominating its recorded minimum,
-    so enabledness is preserved and the run ends covering the final marking.
-    """
-    word: list[str] = []
-    m = net.initial
-    while parents[node] is not None:
-        tname, node = parents[node]  # type: ignore[misc]
-        m2 = fire(net, m, tname)
-        assert m2 is not None, "backward chain must stay enabled"
-        word.append(net.transition(tname).label)
-        m = m2
-    assert covers(m, net.final)
-    return tuple(word)
 
 
 def net_automaton_empty(net: LabeledPetriNet, a: Nfa) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Hashable, Mapping, TypeVar
 
 from .ideals import Marking, UpSet, canonicalize_up, check_marking, member_up
 from .petri import LabeledPetriNet, covers, fire, product
@@ -16,6 +17,7 @@ from .petri import LabeledPetriNet, covers, fire, product
 # maps each discovered basis vector to the (transition, target vector) pair
 # that generated it; None marks the final-marking root
 ParentMap = dict[Marking, "tuple[str, Marking] | None"]
+Node = TypeVar("Node", bound=Hashable)
 
 
 @dataclass
@@ -79,29 +81,46 @@ def disjoint(n1: LabeledPetriNet, n2: LabeledPetriNet) -> bool:
     return not coverable(product(n1, n2))
 
 
+def replay_chain(
+    net: LabeledPetriNet,
+    parents: Mapping[Node, "tuple[str, Node] | None"],
+    node: Node,
+) -> tuple[str, ...]:
+    """Fire the backward chain from `node` to its root forward from the
+    initial marking, and return the word it reads.
+
+    `parents` maps each node to the (transition, parent node) pair that
+    generated it, None at a root.  Nodes are opaque here: plain markings
+    and (state, marking) pairs both work.  Each link fires from a marking
+    dominating its recorded minimum, so enabledness is preserved and the
+    run ends covering the final marking; a chain that breaks either
+    property raises RuntimeError.
+    """
+    word: list[str] = []
+    m = net.initial
+    while parents[node] is not None:
+        tname, node = parents[node]  # type: ignore[misc]
+        m2 = fire(net, m, tname)
+        if m2 is None:
+            raise RuntimeError("backward chain must stay enabled")
+        word.append(net.transition(tname).label)
+        m = m2
+    if not covers(m, net.final):
+        raise RuntimeError("backward chain must end covering the final marking")
+    return tuple(word)
+
+
 def coverability_witness(
     net: LabeledPetriNet, result: BackwardResult | None = None
 ) -> tuple[str, ...] | None:
     """A word labeling a covering run from the initial marking, or None.
 
     Replays the backward chain forward: each basis element records the
-    transition that maps its upward cone into the cone of its parent, so
-    firing the chain from any dominating marking stays enabled and ends in
-    a marking that covers the final one.
+    transition that maps its upward cone into the cone of its parent.
     """
     if result is None:
         result = prestar_basis(net)
     if not result.coverable:
         return None
     start = next(b for b in result.basis.basis if all(x <= y for x, y in zip(b, net.initial)))
-    word: list[str] = []
-    m = net.initial
-    node = start
-    while result.parents[node] is not None:
-        tname, nxt = result.parents[node]  # type: ignore[misc]
-        m2 = fire(net, m, tname)
-        assert m2 is not None, "backward chain must stay enabled"
-        word.append(net.transition(tname).label)
-        m, node = m2, nxt
-    assert covers(m, net.final)
-    return tuple(word)
+    return replay_chain(net, result.parents, start)

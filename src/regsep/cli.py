@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds, 1 a checked property fails (e.g.
 the net is coverable, the languages overlap, verification fails), 2
-malformed input, 3 `separate` was given non-disjoint nets.
+malformed input, 3 `separate` was given non-disjoint nets, 4 an exhaustive
+exploration ran out of its node budget.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_DISJOINT = 3
+EXIT_BUDGET_EXCEEDED = 4
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
@@ -105,7 +107,6 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         "bound_exponent": bundle.certificate.bound.exponent,
         "n1_digest": bundle.n1_digest,
         "n2_digest": bundle.n2_digest,
-        "fast_path": bundle.fast_path,
         "core_states": len(bundle.core.states),
         "separator_states": len(bundle.separator.states),
     }
@@ -118,24 +119,11 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         len(bundle.separator.states),
     )
     if args.verify:
-        target = bundle.separator if args.level == "sigma" else bundle.complement_dfa
         if args.level == "sigma":
-            report = verify.verify_separator(n1, n2, target)
+            report = verify.verify_separator(n1, n2, bundle.separator)
         else:
             # at the inner level the separator relates the transformed nets
-            if bundle.fast_path:
-                from .petri import restrict_to_shared_labels
-
-                # also restricts n2's declared alphabet to its carried
-                # letters, matching the core automaton's alphabet
-                w_det = restrict_to_shared_labels(n2, n2)
-                w = restrict_to_shared_labels(n1, n2)
-            else:
-                from .petri import identity_labeled, label_expand
-
-                w_det = identity_labeled(n2)
-                w = label_expand(n1, n2)
-            report = verify.verify_separator(w, w_det, target)
+            report = verify.verify_separator(bundle.w, bundle.w_det, bundle.complement_dfa)
         if not report.passed:
             print("verification FAILED", file=sys.stderr)
             return EXIT_PROPERTY_FAILED
@@ -259,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_BUDGET_EXCEEDED
 
 
 if __name__ == "__main__":

@@ -36,10 +36,6 @@ Marking = tuple[int, ...]
 OmegaMarking = tuple[Coord, ...]
 
 
-def is_finite(c: Coord) -> bool:
-    return c is not OMEGA
-
-
 def coord_leq(a: Coord, b: Coord) -> bool:
     if b is OMEGA:
         return True

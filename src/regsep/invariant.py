@@ -60,11 +60,6 @@ class InvariantCertificate:
     bound: BackwardBound
     bound_ideal_count: int
 
-    @property
-    def bound_g(self) -> int:
-        """Materialized basis bound; only sensible for very small nets."""
-        return self.bound.value()
-
 
 @dataclass
 class InvariantReport:

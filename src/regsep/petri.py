@@ -94,10 +94,6 @@ def fire(net: LabeledPetriNet, m: Marking, t: str) -> Marking | None:
     return tuple(x - p + q for x, p, q in zip(m, tr.pre, tr.post))
 
 
-def enabled(net: LabeledPetriNet, m: Marking, t: str) -> bool:
-    return all(x >= p for x, p in zip(m, net.transition(t).pre))
-
-
 def ideal_succ(net: LabeledPetriNet, u: OmegaMarking, t: str) -> OmegaMarking | None:
     """Successor of the ideal `u` under transition `t`; None when disabled."""
     if len(u) != net.dimension:
@@ -174,23 +170,6 @@ def label_expand(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
         places=n1.places,
         alphabet=tuple(t.name for t in n2.transitions),
         transitions=tuple(transitions),
-        initial=n1.initial,
-        final=n1.final,
-    )
-
-
-def restrict_to_shared_labels(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
-    """Drop n1 transitions whose label no n2 transition carries.
-
-    Used on the fast path for an injectively labeled n2, where expanding
-    labels would only rename letters.  The alphabet shrinks to the letters
-    n2 actually uses, in n2 transition order.
-    """
-    used = tuple(dict.fromkeys(t.label for t in n2.transitions))
-    return LabeledPetriNet(
-        places=n1.places,
-        alphabet=used,
-        transitions=tuple(t for t in n1.transitions if t.label in set(used)),
         initial=n1.initial,
         final=n1.final,
     )

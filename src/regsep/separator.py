@@ -25,14 +25,7 @@ from .backward import prestar_basis
 from .errors import NotDisjointError
 from .ideals import UpSet, coord_leq, ideal_fire, omega_leq
 from .invariant import InvariantCertificate, check_invariant, invariant_from_backward
-from .petri import (
-    LabeledPetriNet,
-    identity_labeled,
-    injectively_labeled,
-    label_expand,
-    product,
-    restrict_to_shared_labels,
-)
+from .petri import LabeledPetriNet, identity_labeled, injectively_labeled, label_expand, product
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +41,8 @@ class SeparatorBundle:
     certificate: InvariantCertificate
     n1_digest: str
     n2_digest: str
-    fast_path: bool
+    w: LabeledPetriNet  # n1 expanded against n2's transition names
+    w_det: LabeledPetriNet  # n2 labeled by its own transition names
 
 
 def net_digest(net: LabeledPetriNet) -> str:
@@ -119,33 +113,20 @@ def separate(
     n1: LabeledPetriNet,
     n2: LabeledPetriNet,
     bound_constant: int = 4,
-    allow_fast_path: bool = True,
 ) -> SeparatorBundle:
     """Produce a verified-by-construction separator bundle.
 
     The returned separator contains L(n2) and is disjoint from L(n1).
     Raises NotDisjointError when the languages overlap.
     """
-    direct = prestar_basis(product(n1, n2))
-    if direct.coverable:
-        raise NotDisjointError("the coverability languages intersect; no separator exists")
-    fast = allow_fast_path and injectively_labeled(n2)
-    if fast:
-        # labels are already unique, so identity-relabeling would only
-        # rename letters; work over n2's used letters directly
-        w_det = n2
-        w = restrict_to_shared_labels(n1, n2)
-        lam = None
-    else:
-        w_det = identity_labeled(n2)
-        w = label_expand(n1, n2)
-        lam = {t.name: t.label for t in n2.transitions}
+    w = label_expand(n1, n2)
+    w_det = identity_labeled(n2)
+    # exact disjointness test: with λ the labeling of n2, the product
+    # accepts u iff λ(u) ∈ L(n1) ∩ L(n2)
     prod = product(w, w_det)
     backward = prestar_basis(prod)
     if backward.coverable:
-        raise RuntimeError(
-            "internal error: determinized product is coverable although the nets are disjoint"
-        )
+        raise NotDisjointError("the coverability languages intersect; no separator exists")
     cert = invariant_from_backward(prod, constant=bound_constant, backward=backward)
     log.info(
         "basis size %d (norm %d), invariant ideals %d",
@@ -157,7 +138,7 @@ def separate(
     dfa = determinize(core)
     comp = complement(dfa)
     log.info("core states %d, determinized states %d", len(core.states), len(dfa.states))
-    sep = comp if lam is None else relabel(comp, lam)
+    sep = relabel(comp, {t.name: t.label for t in n2.transitions})
     sigma = tuple(dict.fromkeys(n1.alphabet + n2.alphabet))
     sep = widen_alphabet(sep, sigma)
     return SeparatorBundle(
@@ -168,5 +149,6 @@ def separate(
         certificate=cert,
         n1_digest=net_digest(n1),
         n2_digest=net_digest(n2),
-        fast_path=fast,
+        w=w,
+        w_det=w_det,
     )

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from regsep.generators import random_net_pair
-from regsep.petri import (
-    LabeledPetriNet,
-    Transition,
-    identity_labeled,
-    label_expand,
-    restrict_to_shared_labels,
-)
+from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
 
 
@@ -48,16 +42,6 @@ def corpus_seeds(count: int = 50) -> list[int]:
             seeds.append(seed)
         seed += 1
     return seeds
-
-
-def transformed(
-    n1: LabeledPetriNet, n2: LabeledPetriNet, fast: bool
-) -> tuple[LabeledPetriNet, LabeledPetriNet]:
-    """The (expanded first net, deterministic second net) pair the core
-    automaton was built from, matching the pipeline's fast-path choice."""
-    if fast:
-        return restrict_to_shared_labels(n1, n2), n2
-    return label_expand(n1, n2), identity_labeled(n2)
 
 
 @pytest.fixture(scope="session")

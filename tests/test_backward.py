@@ -12,6 +12,7 @@ from regsep.backward import (
     disjoint,
     pred_basis,
     prestar_basis,
+    replay_chain,
 )
 from regsep.errors import InputError
 from regsep.generators import random_net_pair
@@ -183,3 +184,16 @@ class TestWitness:
             # replay the witness letters as an actual accepted run
             assert word in naive_language(net, len(word))
         assert found >= 3
+
+    def test_replay_rejects_chain_with_disabled_transition(self):
+        # t needs a token the initial marking lacks
+        net = one_place_net(1, 0, 0, 0)
+        parents = {(1,): ("t", (0,)), (0,): None}
+        with pytest.raises(RuntimeError, match="stay enabled"):
+            replay_chain(net, parents, (1,))
+
+    def test_replay_rejects_chain_not_covering_final(self):
+        net = one_place_net(0, 0, 0, 1)
+        parents = {("q", (0,)): ("t", ("r", (1,))), ("r", (1,)): None}
+        with pytest.raises(RuntimeError, match="covering the final"):
+            replay_chain(net, parents, ("q", (0,)))

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from regsep.cli import (
+    EXIT_BUDGET_EXCEEDED,
     EXIT_INPUT_ERROR,
     EXIT_NOT_DISJOINT,
     EXIT_OK,
@@ -213,6 +214,13 @@ class TestSample:
         assert (
             main(["--config", str(cfg), "sample", p1, "--maxlen", "11"]) == EXIT_OK
         )
+
+    def test_budget_exhausted_has_own_exit_code(self, worked_files, tmp_path, capsys):
+        p1, _ = worked_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 1}')
+        assert main(["--config", str(cfg), "sample", p1]) == EXIT_BUDGET_EXCEEDED
+        assert "budget exceeded" in capsys.readouterr().err
 
 
 class TestGenerators:

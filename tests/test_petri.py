@@ -236,6 +236,26 @@ class TestLabelExpand:
             )
             assert lhs == rhs
 
+    def test_transformed_product_is_direct_product(self):
+        # equal up to transition names and labels, with the labels related
+        # by n2's labeling: saturating either product gives the same basis
+        pairs = [make_worked_pair()] + [
+            (pair.n1, pair.n2) for pair in map(random_net_pair, range(100))
+        ]
+        for n1, n2 in pairs:
+            direct = product(n1, n2)
+            moved = product(label_expand(n1, n2), identity_labeled(n2))
+            assert moved.places == direct.places
+            assert moved.initial == direct.initial
+            assert moved.final == direct.final
+            assert [(t.pre, t.post) for t in moved.transitions] == [
+                (t.pre, t.post) for t in direct.transitions
+            ]
+            label_of = {t.name: t.label for t in n2.transitions}
+            assert [label_of[t.label] for t in moved.transitions] == [
+                t.label for t in direct.transitions
+            ]
+
 
 class TestNetSize:
     def test_formula_example(self):

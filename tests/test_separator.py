@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from regsep.automata import member
+from regsep.backward import prestar_basis
 from regsep.errors import NotDisjointError
 from regsep.generators import random_net_pair
 from regsep.ideals import OMEGA
@@ -15,7 +16,6 @@ from regsep.petri import (
     identity_labeled,
     label_expand,
     product,
-    restrict_to_shared_labels,
 )
 from regsep.separator import (
     DEAD_STATE,
@@ -53,6 +53,13 @@ class TestWorkedExample:
             (DEAD_STATE, letter, DEAD_STATE),
         }
 
+    def test_core_alphabet_is_second_net_transition_names(self):
+        n1, n2 = make_worked_pair()
+        bundle = separate(n1, n2)
+        assert bundle.core.alphabet == tuple(t.name for t in n2.transitions)
+        assert bundle.w == label_expand(n1, n2)
+        assert bundle.w_det == identity_labeled(n2)
+
     def test_core_language_is_length_at_least_two(self):
         n1, n2 = make_worked_pair()
         core = separate(n1, n2).core
@@ -82,11 +89,10 @@ class TestBuildCoreAutomaton:
             initial=n2.initial,
             final=n2.final,
         )
-        w = restrict_to_shared_labels(n1, doubled)
-        prod = product(w, n2)
+        prod = product(n1, n2)
         cert = invariant_from_backward(prod)
         with pytest.raises(ValueError):
-            build_core_automaton(w, doubled, cert)
+            build_core_automaton(n1, doubled, cert)
 
     def test_rejects_failing_certificate(self):
         n1, n2 = make_worked_pair()
@@ -97,10 +103,9 @@ class TestBuildCoreAutomaton:
             initial=(0,),
             final=(1,),
         )
-        w = restrict_to_shared_labels(n1, n2)
-        bad_cert = invariant_from_backward(product(w, other))
+        bad_cert = invariant_from_backward(product(n1, other))
         with pytest.raises(ValueError):
-            build_core_automaton(w, n2, bad_cert)
+            build_core_automaton(n1, n2, bad_cert)
 
     def test_no_transitions_in_deterministic_side(self):
         n1 = LabeledPetriNet(
@@ -143,18 +148,22 @@ class TestSeparate:
         with pytest.raises(NotDisjointError):
             separate(net, net)
 
-    def test_fast_path_flag(self):
-        n1, n2 = make_worked_pair()
-        assert separate(n1, n2).fast_path  # n2 is injectively labeled
-        assert not separate(n1, n2, allow_fast_path=False).fast_path
+    def test_saturates_once(self, monkeypatch):
+        calls = []
 
-    def test_fast_path_language_equivalence(self):
+        def counting(net):
+            calls.append(net)
+            return prestar_basis(net)
+
+        for module in ("backward", "invariant", "separator"):
+            monkeypatch.setattr(f"regsep.{module}.prestar_basis", counting)
         n1, n2 = make_worked_pair()
-        fast = separate(n1, n2)
-        slow = separate(n1, n2, allow_fast_path=False)
-        for w in all_words(("a",), 7):
-            assert member(fast.separator, w) == member(slow.separator, w)
-        assert verify_separator(n1, n2, slow.separator).passed
+        separate(n1, n2)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(NotDisjointError):
+            separate(n1, n1)
+        assert len(calls) == 1
 
     def test_separator_alphabet_is_joint_alphabet(self):
         for seed in (0, 2, 3, 5):
@@ -175,7 +184,7 @@ class TestSeparate:
 
     def test_bundle_certificate_matches_pipeline(self):
         n1, n2 = make_worked_pair()
-        bundle = separate(n1, n2, allow_fast_path=False)
+        bundle = separate(n1, n2)
         w_det = identity_labeled(n2)
         w = label_expand(n1, n2)
         expected = invariant_from_backward(product(w, w_det))
