@@ -201,24 +201,22 @@ def member_down(m: Marking, x: DownSet) -> bool:
 def complement_upset(u: UpSet) -> DownSet:
     """Ideal decomposition of N^d minus the given upward-closed set.
 
-    Per basis vector v the complement of its cone is the union, over
-    coordinates j with v(j) > 0, of the ideals with coordinate j pinned to
-    v(j)-1 and OMEGA elsewhere; coordinates with v(j) = 0 contribute an
-    empty disjunct and are skipped.  The per-vector unions are intersected
-    pairwise, canonicalizing after each fold to bound intermediate growth.
+    Removes one basis vector's cone at a time from (OMEGA, ..., OMEGA).  An
+    ideal meets the cone of v iff it contains v, so only those ideals split,
+    each into one piece per coordinate j with v(j) > 0, pinned to v(j)-1.
+    The other ideals stay maximal, since a piece lies inside the ideal it
+    came from and the ideals form an antichain; only new pieces are filtered.
     """
-    d = u.dimension
-    acc: list[OmegaMarking] = [tuple([OMEGA] * d)]
+    acc = [(OMEGA,) * u.dimension]
     for v in u.basis:
-        disjuncts: list[OmegaMarking] = []
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            ideal = [OMEGA] * d
-            ideal[j] = vj - 1
-            disjuncts.append(tuple(ideal))
-        acc = [intersect_ideals(a, b) for a in acc for b in disjuncts]
-        acc = list(canonicalize_down(d, acc).ideals)
+        split = [a for a in acc if omega_leq(v, a)]
+        survivors = [a for a in acc if not omega_leq(v, a)]
+        pieces = [a[:j] + (vj - 1,) + a[j + 1 :] for a in split for j, vj in enumerate(v) if vj]
+        # no two pieces are equal, since the ideals split were an antichain
+        candidates = survivors + pieces
+        acc = survivors + [
+            p for p in pieces if not any(q is not p and omega_leq(p, q) for q in candidates)
+        ]
         if not acc:
             break
-    return canonicalize_down(d, acc)
+    return DownSet(u.dimension, tuple(sorted(acc, key=_sort_key)))

@@ -53,19 +53,21 @@ def net_digest(net: LabeledPetriNet) -> str:
 
 
 def build_core_automaton(
-    w: LabeledPetriNet, w_det: LabeledPetriNet, cert: InvariantCertificate
+    w: LabeledPetriNet, w_det: LabeledPetriNet, cert: InvariantCertificate,
+    prod: LabeledPetriNet | None = None,
 ) -> Nfa:
     """Automaton whose states are the invariant ideals of product(w, w_det).
 
-    `w_det` must be injectively labeled.  A state is initial if it
-    dominates the joint initial marking and final if its w-side covers w's
-    final marking.  Edges over-approximate joint steps existentially: the
-    ideal successor leads to every dominating state.  Steps that w can take
-    while w_det cannot fall into the absorbing dead state, which is final.
+    `prod` is that product, built here when not given.  `w_det` must be
+    injectively labeled.  A state is initial if it dominates the joint
+    initial marking and final if its w-side covers w's final marking.
+    Edges over-approximate joint steps existentially: the ideal successor
+    leads to every dominating state.  Steps that w can take while w_det
+    cannot fall into the absorbing dead state, which is final.
     """
     if not injectively_labeled(w_det):
         raise ValueError("the deterministic component must be injectively labeled")
-    prod = product(w, w_det)
+    prod = product(w, w_det) if prod is None else prod
     report = check_invariant(prod, cert.down)
     if not report.passed:
         raise ValueError(f"certificate does not pass the invariant check: {report.failures}")
@@ -134,7 +136,7 @@ def separate(
         backward.basis.norm(),
         len(cert.down.ideals),
     )
-    core = build_core_automaton(w, w_det, cert)
+    core = build_core_automaton(w, w_det, cert, prod)
     dfa = determinize(core)
     comp = complement(dfa)
     log.info("core states %d, determinized states %d", len(core.states), len(dfa.states))

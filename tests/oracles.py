@@ -10,7 +10,16 @@ import itertools
 import random
 from typing import Iterable, Sequence
 
-from regsep.ideals import OMEGA, Coord, Marking, OmegaMarking
+from regsep.ideals import (
+    OMEGA,
+    Coord,
+    DownSet,
+    Marking,
+    OmegaMarking,
+    UpSet,
+    canonicalize_down,
+    intersect_ideals,
+)
 from regsep.petri import LabeledPetriNet
 
 Word = tuple[str, ...]
@@ -163,3 +172,32 @@ def random_upset(rng: random.Random, dimension: int, max_basis: int, norm: int):
         for _ in range(rng.randint(0, max_basis))
     ]
     return canonicalize_up(dimension, vectors)
+
+
+def fold_complement_upset(u: UpSet) -> DownSet:
+    """Ideal decomposition of N^d minus the given upward-closed set.
+
+    Per basis vector v the complement of its cone is the union, over
+    coordinates j with v(j) > 0, of the ideals with coordinate j pinned to
+    v(j)-1 and OMEGA elsewhere; coordinates with v(j) = 0 contribute an
+    empty disjunct and are skipped.  The per-vector unions are intersected
+    pairwise, canonicalizing after each fold to bound intermediate growth.
+
+    This is the library's original algorithm, kept as the reference for
+    `regsep.ideals.complement_upset`.
+    """
+    d = u.dimension
+    acc: list[OmegaMarking] = [tuple([OMEGA] * d)]
+    for v in u.basis:
+        disjuncts: list[OmegaMarking] = []
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            ideal = [OMEGA] * d
+            ideal[j] = vj - 1
+            disjuncts.append(tuple(ideal))
+        acc = [intersect_ideals(a, b) for a in acc for b in disjuncts]
+        acc = list(canonicalize_down(d, acc).ideals)
+        if not acc:
+            break
+    return canonicalize_down(d, acc)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regsep.backward import prestar_basis
 from regsep.errors import InputError
+from regsep.generators import random_net_pair
 from regsep.ideals import (
     OMEGA,
     DownSet,
@@ -22,9 +24,11 @@ from regsep.ideals import (
     member_up,
     omega_leq,
 )
+from regsep.petri import identity_labeled, label_expand, product
 
 from .oracles import (
     all_markings,
+    fold_complement_upset,
     naive_member_down,
     naive_member_up,
     random_upset,
@@ -37,6 +41,22 @@ coords = st.one_of(st.integers(min_value=0, max_value=5), st.just(W))
 
 def omega_vectors(dimension: int):
     return st.tuples(*([coords] * dimension))
+
+
+@st.composite
+def upsets(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    vectors = draw(st.lists(st.tuples(*([st.integers(0, 3)] * d)), max_size=6))
+    return canonicalize_up(d, vectors)
+
+
+def canonical_key(u):
+    return tuple((1, 0) if c is W else (0, c) for c in u)
+
+
+both_complements = pytest.mark.parametrize(
+    "complement", [complement_upset, fold_complement_upset], ids=["split", "fold"]
+)
 
 
 class TestOmegaLeq:
@@ -120,6 +140,56 @@ class TestComplementUpset:
             down = complement_upset(up)
             for m in all_markings(d, 6):
                 assert member_up(m, up) != member_down(m, down)
+
+
+class TestComplementEdgeCases:
+    @both_complements
+    def test_zero_vector_gives_empty(self, complement):
+        assert complement(UpSet(3, ((0, 0, 0),))) == DownSet(3, ())
+        assert complement(UpSet(1, ((0,),))) == DownSet(1, ())
+
+    @both_complements
+    def test_dimension_zero(self, complement):
+        assert complement(UpSet(0, ())) == DownSet(0, ((),))
+        assert complement(UpSet(0, ((),))) == DownSet(0, ())
+
+    @both_complements
+    def test_several_zero_coordinates(self, complement):
+        down = complement(UpSet(4, ((0, 2, 0, 0),)))
+        assert down == DownSet(4, ((W, 1, W, W),))
+        down = complement(UpSet(4, ((0, 2, 0, 1), (3, 0, 0, 0))))
+        assert down == DownSet(4, ((2, 1, W, W), (2, W, W, 0)))
+
+    @both_complements
+    @given(upsets())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_antichain_and_xor_law(self, complement, up):
+        down = complement(up)
+        ideals = down.ideals
+        for i, a in enumerate(ideals):
+            for j, b in enumerate(ideals):
+                assert i == j or not omega_leq(a, b)
+        assert list(ideals) == sorted(ideals, key=canonical_key)
+        for m in all_markings(up.dimension, 3):
+            assert member_up(m, up) != member_down(m, down)
+
+
+class TestComplementAgainstFold:
+    """The split complement equals the original fold-and-canonicalize one."""
+
+    def test_random_upsets(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            d = rng.randint(1, 6)
+            up = random_upset(rng, d, 8, 4)
+            assert complement_upset(up) == fold_complement_upset(up)
+
+    def test_separation_backward_bases(self):
+        for seed in range(100):
+            pair = random_net_pair(seed)
+            w = label_expand(pair.n1, pair.n2)
+            basis = prestar_basis(product(w, identity_labeled(pair.n2))).basis
+            assert complement_upset(basis) == fold_complement_upset(basis)
 
 
 class TestCanonicalize:

@@ -9,7 +9,7 @@ from regsep.backward import prestar_basis
 from regsep.errors import NotDisjointError
 from regsep.generators import random_net_pair
 from regsep.ideals import OMEGA
-from regsep.invariant import invariant_from_backward
+from regsep.invariant import check_invariant, invariant_from_backward
 from regsep.petri import (
     LabeledPetriNet,
     Transition,
@@ -163,6 +163,36 @@ class TestSeparate:
         calls.clear()
         with pytest.raises(NotDisjointError):
             separate(n1, n1)
+        assert len(calls) == 1
+
+    def test_builds_product_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        for module in ("petri", "backward", "separator"):
+            monkeypatch.setattr(f"regsep.{module}.product", counting)
+        n1, n2 = make_worked_pair()
+        separate(n1, n2)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(NotDisjointError):
+            separate(n1, n1)
+        assert len(calls) == 1
+
+    def test_checks_invariant_once(self, monkeypatch):
+        calls = []
+
+        def counting(net, x):
+            calls.append(net)
+            return check_invariant(net, x)
+
+        for module in ("invariant", "separator"):
+            monkeypatch.setattr(f"regsep.{module}.check_invariant", counting)
+        n1, n2 = make_worked_pair()
+        separate(n1, n2)
         assert len(calls) == 1
 
     def test_separator_alphabet_is_joint_alphabet(self):
