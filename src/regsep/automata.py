@@ -8,13 +8,13 @@ so serialized artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .backward import pred_basis, replay_chain
+from .backward import replay_chain, saturate
+from .config import DEFAULT, Settings
 from .errors import InputError
-from .ideals import Marking, OmegaMarking
+from .ideals import OmegaMarking
 from .petri import LabeledPetriNet
 
 Edge = tuple[str, str, str]
@@ -243,7 +243,7 @@ def minimize(d: Nfa) -> Nfa:
 
 
 def net_automaton_intersection_witness(
-    net: LabeledPetriNet, a: Nfa
+    net: LabeledPetriNet, a: Nfa, settings: Settings = DEFAULT
 ) -> tuple[str, ...] | None:
     """A word in L(net) and L(a), or None if the intersection is empty.
 
@@ -257,35 +257,9 @@ def net_automaton_intersection_witness(
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:
         back.setdefault((r, letter), []).append(s)
-    roots = sorted(a.final)
-    basis: dict[str, list[Marking]] = {qf: [net.final] for qf in roots}
-    Node = tuple[str, Marking]
-    parents: dict[Node, tuple[str, Node] | None] = {
-        (qf, net.final): None for qf in roots
-    }
-    queue: deque[Node] = deque((qf, net.final) for qf in roots)
-    while queue:
-        q, v = queue.popleft()
-        if v not in basis.get(q, ()):
-            continue  # evicted while waiting
-        for t in net.transitions:
-            sources = back.get((q, t.label))
-            if not sources:
-                continue
-            m = pred_basis(net, v, t.name)
-            for s in sources:
-                ante = basis.setdefault(s, [])
-                if any(all(b <= x for b, x in zip(other, m)) for other in ante):
-                    continue  # dominated by an incumbent
-                basis[s] = [
-                    other
-                    for other in ante
-                    if not all(x <= b for x, b in zip(m, other))
-                ] + [m]
-                parents.setdefault((s, m), (t.name, (q, v)))
-                queue.append((s, m))
+    chains, parents, _ = saturate(net, sorted(a.final), back, settings)
     for q0 in sorted(a.initial):
-        for b in basis.get(q0, ()):
+        for b in chains.get(q0, ()):
             if all(x <= y for x, y in zip(b, net.initial)):
                 return replay_chain(net, parents, (q0, b))
     return None

@@ -7,11 +7,14 @@ Termination is guaranteed by Dickson's lemma.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, TypeVar
+from operator import add, sub
+from typing import Hashable, Mapping, Sequence, TypeVar
 
-from .ideals import Marking, UpSet, canonicalize_up, check_marking, member_up
+from .config import DEFAULT, Settings
+from .errors import BudgetExceededError
+from .ideals import Antichain, Marking, UpSet, _trusted, check_marking, member_up
 from .petri import LabeledPetriNet, covers, fire, product
 
 # maps each discovered basis vector to the (transition, target vector) pair
@@ -28,57 +31,80 @@ class BackwardResult:
     parents: ParentMap = field(repr=False, default_factory=dict)
 
 
+def _pred(v: Marking, pre: Marking, post: Marking) -> Marking:
+    return tuple(map(max, map(add, map(sub, v, post), pre), pre))  # max(x - q + p, p)
+
+
 def pred_basis(net: LabeledPetriNet, v: Marking, t: str) -> Marking:
     """Minimal marking that enables `t` and whose t-successor dominates `v`."""
     check_marking(v, net.dimension)
     tr = net.transition(t)
-    return tuple(
-        max(x - q + p, p) for x, p, q in zip(v, tr.pre, tr.post)
-    )
+    return _pred(v, tr.pre, tr.post)
 
 
-def prestar_basis(net: LabeledPetriNet) -> BackwardResult:
-    """Saturate the minimal basis of the markings that can cover the final one.
-
-    FIFO worklist over basis elements; dominated newcomers are dropped and
-    dominated incumbents evicted, so the basis stays an antichain.
-    """
-    root = net.final
-    basis: list[Marking] = [root]
-    parents: ParentMap = {root: None}
-    queue: deque[Marking] = deque([root])
+def saturate(
+    net: LabeledPetriNet,
+    roots: Sequence[Hashable],
+    back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
+    settings: Settings = DEFAULT,
+) -> tuple[defaultdict[Hashable, Antichain], dict, int]:
+    """FIFO backward saturation over (control state, marking) nodes, from
+    the final marking at every root state.  Expanding (q, v), each transition
+    t offers v's minimal t-predecessor to the antichain of every state in
+    `back[q, label of t]`.  Returns the antichain per state, the map from each
+    kept node to the (transition, node) pair that generated it (None at a
+    root), and the number of nodes expanded."""
+    chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
+    parents: dict = {(q, net.final): None for q in roots}
+    for q in roots:
+        chains[q].add(net.final)
+    queue = deque(parents)
     iterations = 0
     while queue:
-        v = queue.popleft()
-        if v not in basis:
+        node = q, v = queue.popleft()
+        if v not in chains[q]:
             continue  # evicted while waiting
         iterations += 1
         for t in net.transitions:
-            m = pred_basis(net, v, t.name)
-            if any(all(b <= x for b, x in zip(other, m)) for other in basis):
-                continue  # dominated by an incumbent
-            basis = [other for other in basis if not all(x <= b for x, b in zip(m, other))]
-            basis.append(m)
-            if m not in parents:
-                parents[m] = (t.name, v)
-            queue.append(m)
-    canonical = canonicalize_up(net.dimension, basis)
+            targets = back.get((q, t.label))
+            if not targets:
+                continue
+            m = _pred(v, t.pre, t.post)
+            for s in targets:
+                if not chains[s].add(m):
+                    continue  # dominated by an incumbent
+                parents.setdefault((s, m), (t.name, node))
+                queue.append((s, m))
+                if len(parents) > settings.node_budget:
+                    raise BudgetExceededError(
+                        f"saturation kept over {settings.node_budget} nodes: {iterations} "
+                        f"iterations, antichain size {sum(map(len, chains.values()))}")
+    return chains, parents, iterations
+
+
+def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult:
+    """Saturate the minimal basis of the markings that can cover the final
+    one: the one-state case of `saturate`."""
+    back = {(None, t.label): (None,) for t in net.transitions}
+    chains, parents, iterations = saturate(net, (None,), back, settings)
+    # plain tuple order is the canonical order on markings
+    basis = _trusted(UpSet, net.dimension, tuple(sorted(chains[None])))
     return BackwardResult(
-        basis=canonical,
+        basis=basis,
         iterations=iterations,
-        coverable=member_up(net.initial, canonical),
-        parents=parents,
+        coverable=member_up(net.initial, basis),
+        parents={m: None if p is None else (p[0], p[1][1]) for (_, m), p in parents.items()},
     )
 
 
-def coverable(net: LabeledPetriNet) -> bool:
+def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff some firing sequence from the initial marking covers the final one."""
-    return prestar_basis(net).coverable
+    return prestar_basis(net, settings).coverable
 
 
-def disjoint(n1: LabeledPetriNet, n2: LabeledPetriNet) -> bool:
+def disjoint(n1: LabeledPetriNet, n2: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff the coverability languages of the two nets do not intersect."""
-    return not coverable(product(n1, n2))
+    return not coverable(product(n1, n2), settings)
 
 
 def replay_chain(

@@ -31,7 +31,7 @@ EXIT_BUDGET_EXCEEDED = 4
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     net = fileio.load_net(args.net)
-    result = backward.prestar_basis(net)
+    result = backward.prestar_basis(net, args.settings)
     print("COVERABLE" if result.coverable else "NOT COVERABLE")
     for v in result.basis.basis:
         print(f"basis {vector_str(v)}")
@@ -42,7 +42,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 def _cmd_disjoint(args: argparse.Namespace) -> int:
     n1 = fileio.load_net(args.net1)
     n2 = fileio.load_net(args.net2)
-    if backward.disjoint(n1, n2):
+    if backward.disjoint(n1, n2, args.settings):
         print("DISJOINT")
         return EXIT_OK
     print("NOT DISJOINT")
@@ -53,13 +53,12 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     n1 = fileio.load_net(args.net1)
     n2 = fileio.load_net(args.net2)
     prod = product(n1, n2)
-    result = backward.prestar_basis(prod)
+    result = backward.prestar_basis(prod, args.settings)
     if result.coverable:
         print("COVERABLE: the product accepts a word, no inductive invariant exists")
         return EXIT_PROPERTY_FAILED
-    settings = load_settings(args.config)
     cert = invariant.invariant_from_backward(
-        prod, constant=settings.bound_constant, backward=result
+        prod, constant=args.settings.bound_constant, backward=result
     )
     for u in cert.down.ideals:
         print(f"ideal {vector_str(u)}")
@@ -84,10 +83,9 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     n2 = fileio.load_net(args.net2)
     if args.contain == "first":
         n1, n2 = n2, n1
-    settings = load_settings(args.config)
     started = time.monotonic()
     try:
-        bundle = separator.separate(n1, n2, bound_constant=settings.bound_constant)
+        bundle = separator.separate(n1, n2, args.settings.bound_constant, args.settings)
     except NotDisjointError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_NOT_DISJOINT
@@ -119,11 +117,10 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         len(bundle.separator.states),
     )
     if args.verify:
-        if args.level == "sigma":
-            report = verify.verify_separator(n1, n2, bundle.separator)
-        else:
-            # at the inner level the separator relates the transformed nets
-            report = verify.verify_separator(bundle.w, bundle.w_det, bundle.complement_dfa)
+        checked = (n1, n2, bundle.separator)
+        if args.level == "t2":  # the separator of the transformed nets
+            checked = (bundle.w, bundle.w_det, bundle.complement_dfa)
+        report = verify.verify_separator(*checked, args.settings)
         if not report.passed:
             print("verification FAILED", file=sys.stderr)
             return EXIT_PROPERTY_FAILED
@@ -135,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n1 = fileio.load_net(args.net1)
     n2 = fileio.load_net(args.net2)
     aut = fileio.load_automaton(args.automaton)
-    report = verify.verify_separator(n1, n2, aut)
+    report = verify.verify_separator(n1, n2, aut, args.settings)
     print(f"disjointness: {'ok' if report.disjointness_ok else 'FAIL'}")
     if report.disjointness_witness is not None:
         print(f"witness in both L(net1) and L(aut): {'.'.join(report.disjointness_witness) or '(empty word)'}")
@@ -147,8 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     net = fileio.load_net(args.net)
-    settings = load_settings(args.config)
-    words = verify.bounded_language(net, args.maxlen, settings)
+    words = verify.bounded_language(net, args.maxlen, args.settings)
     for w in words:
         print(".".join(w) if w else "(empty word)")
     log.info("%d words up to length %d", len(words), args.maxlen)
@@ -241,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        args.settings = load_settings(args.config)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

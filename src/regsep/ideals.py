@@ -15,7 +15,9 @@ serialized artifacts are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import compress
+from operator import le
+from typing import Any, Iterable, Union
 
 from .errors import InputError
 
@@ -34,6 +36,7 @@ OMEGA = _Omega()
 Coord = Union[int, _Omega]
 Marking = tuple[int, ...]
 OmegaMarking = tuple[Coord, ...]
+_BITS = tuple(1 << i for i in range(64))  # places past 64 get no support bit: less pruning
 
 
 def coord_leq(a: Coord, b: Coord) -> bool:
@@ -160,17 +163,54 @@ class DownSet:
         return member_down(m, self)
 
 
+class Antichain(dict):
+    """The minimal elements of the markings added so far, in insertion order,
+    each mapped to its support bitmask.  b <= m needs supp(b) inside supp(m),
+    so the elements are bucketed by support: a dominance query skips every
+    bucket with a bit outside supp(m), and an eviction visits only the
+    buckets containing supp(m).  Change it only through `add`."""
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._buckets: dict[int, set[Marking]] = {}
+
+    def add(self, m: Marking) -> bool:
+        """Insert `m` and evict the elements above it, unless an element is
+        below or equal to `m`.  Returns whether `m` was inserted."""
+        mask = sum(compress(_BITS, m))
+        above = []
+        for key, bucket in self._buckets.items():
+            if not key & ~mask and any(all(map(le, b, m)) for b in bucket):
+                return False
+            if key & mask == mask:
+                above += [b for b in bucket if all(map(le, m, b))]
+        for b in above:
+            key = self.pop(b)
+            self._buckets[key].discard(b)
+            if not self._buckets[key]:
+                del self._buckets[key]
+        self[m] = mask
+        self._buckets.setdefault(mask, set()).add(m)
+        return True
+
+
+def _trusted(cls: type, dimension: int, elements: tuple) -> Any:
+    """UpSet or DownSet without validation, for a canonical antichain by construction."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, (dimension, elements)):
+        object.__setattr__(obj, name, value)  # as the frozen dataclass's __init__ does
+    return obj
+
+
 def canonicalize_up(dimension: int, vectors: Iterable[Marking]) -> UpSet:
     """Keep only minimal vectors, sorted canonically."""
-    vecs = list(dict.fromkeys(tuple(v) for v in vectors))
-    for v in vecs:
+    minimal = Antichain()
+    for v in map(tuple, vectors):
         check_marking(v, dimension)
-    minimal = [
-        v
-        for v in vecs
-        if not any(w != v and all(x <= y for x, y in zip(w, v)) for w in vecs)
-    ]
-    return UpSet(dimension, tuple(sorted(set(minimal), key=_sort_key)))
+        minimal.add(v)
+    return UpSet(dimension, tuple(sorted(minimal, key=_sort_key)))
 
 
 def canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet:
@@ -219,4 +259,4 @@ def complement_upset(u: UpSet) -> DownSet:
         ]
         if not acc:
             break
-    return DownSet(u.dimension, tuple(sorted(acc, key=_sort_key)))
+    return _trusted(DownSet, u.dimension, tuple(sorted(acc, key=_sort_key)))

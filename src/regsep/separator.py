@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .automata import Nfa, complement, determinize, relabel, widen_alphabet
 from .backward import prestar_basis
+from .config import DEFAULT, Settings
 from .errors import NotDisjointError
 from .ideals import UpSet, coord_leq, ideal_fire, omega_leq
 from .invariant import InvariantCertificate, check_invariant, invariant_from_backward
@@ -115,6 +116,7 @@ def separate(
     n1: LabeledPetriNet,
     n2: LabeledPetriNet,
     bound_constant: int = 4,
+    settings: Settings = DEFAULT,
 ) -> SeparatorBundle:
     """Produce a verified-by-construction separator bundle.
 
@@ -126,7 +128,7 @@ def separate(
     # exact disjointness test: with λ the labeling of n2, the product
     # accepts u iff λ(u) ∈ L(n1) ∩ L(n2)
     prod = product(w, w_det)
-    backward = prestar_basis(prod)
+    backward = prestar_basis(prod, settings)
     if backward.coverable:
         raise NotDisjointError("the coverability languages intersect; no separator exists")
     cert = invariant_from_backward(prod, constant=bound_constant, backward=backward)

@@ -27,7 +27,7 @@ class SeparatorReport:
 
 
 def verify_separator(
-    n1: LabeledPetriNet, n2: LabeledPetriNet, b: Nfa
+    n1: LabeledPetriNet, n2: LabeledPetriNet, b: Nfa, settings: Settings = DEFAULT
 ) -> SeparatorReport:
     """Exactly check that L(n1) avoids L(b) and L(n2) is contained in L(b).
 
@@ -42,8 +42,8 @@ def verify_separator(
     # minimizing first is language-preserving and keeps the synchronized
     # coverability encodings small
     dfa = minimize(determinize(b))
-    w1 = net_automaton_intersection_witness(n1, dfa)
-    w2 = net_automaton_intersection_witness(n2, complement(dfa))
+    w1 = net_automaton_intersection_witness(n1, dfa, settings)
+    w2 = net_automaton_intersection_witness(n2, complement(dfa), settings)
     return SeparatorReport(
         disjointness_ok=w1 is None,
         containment_ok=w2 is None,

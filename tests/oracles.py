@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Iterable, Sequence
 
+from regsep.backward import BackwardResult, pred_basis, replay_chain
 from regsep.ideals import (
     OMEGA,
     Coord,
@@ -201,3 +203,92 @@ def fold_complement_upset(u: UpSet) -> DownSet:
         if not acc:
             break
     return canonicalize_down(d, acc)
+
+
+def list_prestar_basis(net: LabeledPetriNet) -> BackwardResult:
+    """Backward saturation with the basis kept as a plain list.
+
+    FIFO worklist over basis elements; every newcomer is compared with every
+    incumbent, dominated newcomers are dropped and dominated incumbents
+    evicted.  This is the library's original loop, kept as the reference
+    for `regsep.backward.prestar_basis`; the final basis goes through the
+    validating `UpSet` constructor instead of `canonicalize_up`.
+    """
+    root = net.final
+    basis: list[Marking] = [root]
+    parents: dict = {root: None}
+    queue: deque[Marking] = deque([root])
+    iterations = 0
+    while queue:
+        v = queue.popleft()
+        if v not in basis:
+            continue  # evicted while waiting
+        iterations += 1
+        for t in net.transitions:
+            m = pred_basis(net, v, t.name)
+            if any(all(b <= x for b, x in zip(other, m)) for other in basis):
+                continue  # dominated by an incumbent
+            basis = [other for other in basis if not all(x <= b for x, b in zip(m, other))]
+            basis.append(m)
+            if m not in parents:
+                parents[m] = (t.name, v)
+            queue.append(m)
+    canonical = UpSet(net.dimension, tuple(sorted(basis)))
+    return BackwardResult(
+        basis=canonical,
+        iterations=iterations,
+        coverable=naive_member_up(net.initial, canonical.basis),
+        parents=parents,
+    )
+
+
+def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict]:
+    """Backward saturation of net x automaton with one list per state.
+
+    Returns the per-state lists of minimal markings and the parents map
+    over (state, marking) nodes.  This is the original loop of
+    `regsep.automata.net_automaton_intersection_witness`, kept as its
+    reference.
+    """
+    back: dict[tuple[str, str], list[str]] = {}
+    for s, letter, r in a.transitions:
+        back.setdefault((r, letter), []).append(s)
+    roots = sorted(a.final)
+    basis: dict[str, list[Marking]] = {qf: [net.final] for qf in roots}
+    Node = tuple[str, Marking]
+    parents: dict[Node, tuple[str, Node] | None] = {
+        (qf, net.final): None for qf in roots
+    }
+    queue: deque[Node] = deque((qf, net.final) for qf in roots)
+    while queue:
+        q, v = queue.popleft()
+        if v not in basis.get(q, ()):
+            continue  # evicted while waiting
+        for t in net.transitions:
+            sources = back.get((q, t.label))
+            if not sources:
+                continue
+            m = pred_basis(net, v, t.name)
+            for s in sources:
+                ante = basis.setdefault(s, [])
+                if any(all(b <= x for b, x in zip(other, m)) for other in ante):
+                    continue  # dominated by an incumbent
+                basis[s] = [
+                    other
+                    for other in ante
+                    if not all(x <= b for x, b in zip(m, other))
+                ] + [m]
+                parents.setdefault((s, m), (t.name, (q, v)))
+                queue.append((s, m))
+    return basis, parents
+
+
+def list_intersection_witness(net: LabeledPetriNet, a, saturation=None) -> Word | None:
+    """A word in L(net) and L(a), or None, read off `saturation`, the result
+    of `list_intersection_saturation(net, a)` (computed when not given)."""
+    basis, parents = saturation or list_intersection_saturation(net, a)
+    for q0 in sorted(a.initial):
+        for b in basis.get(q0, ()):
+            if all(x <= y for x, y in zip(b, net.initial)):
+                return replay_chain(net, parents, (q0, b))
+    return None

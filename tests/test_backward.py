@@ -14,10 +14,13 @@ from regsep.backward import (
     prestar_basis,
     replay_chain,
 )
-from regsep.errors import InputError
-from regsep.generators import random_net_pair
+from regsep.config import Settings
+from regsep.errors import BudgetExceededError, InputError
+from regsep.generators import last_letter_pair, random_net_pair
 from regsep.ideals import UpSet, member_up
 from regsep.petri import LabeledPetriNet, Transition, product
+from regsep.separator import separate
+from regsep.verify import verify_separator
 
 from .conftest import make_worked_pair
 from .oracles import brute_pred_basis, forward_coverable, naive_language
@@ -129,6 +132,25 @@ class TestPrestarBasis:
                 rest = UpSet(net.dimension, tuple(b for j, b in enumerate(basis) if j != i))
                 # v itself leaves the set once removed
                 assert not member_up(v, rest)
+
+
+class TestBudget:
+    def test_saturation_raises_past_node_budget(self):
+        net = product(*last_letter_pair(3))
+        kept = len(prestar_basis(net).parents)
+        # exactly the nodes it keeps is enough; one fewer is not
+        assert prestar_basis(net, Settings(node_budget=kept)).parents
+        with pytest.raises(BudgetExceededError, match=r"\d+ iterations, antichain size \d+"):
+            prestar_basis(net, Settings(node_budget=kept - 1))
+        with pytest.raises(BudgetExceededError):
+            separate(*last_letter_pair(3), settings=Settings(node_budget=50))
+
+    def test_witness_search_raises_past_node_budget(self):
+        n0, n1 = last_letter_pair(3)
+        separator = separate(n0, n1).separator
+        assert verify_separator(n0, n1, separator).passed
+        with pytest.raises(BudgetExceededError):
+            verify_separator(n0, n1, separator, Settings(node_budget=20))
 
 
 class TestCoverableDisjoint:

@@ -15,7 +15,7 @@ from regsep.cli import (
     main,
 )
 from regsep.fileio import load_automaton, save_net
-from regsep.generators import random_net_pair
+from regsep.generators import last_letter_pair, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 
 from .conftest import make_worked_pair
@@ -166,6 +166,19 @@ class TestSeparate:
             ["separate", str(p1), str(p2), "-o", str(out), "--level", "t2", "--verify"]
         )
         assert code == EXIT_OK
+
+    def test_separate_budget_from_environment(self, tmp_path, monkeypatch, capsys):
+        p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
+        for net, path in zip(last_letter_pair(3), (p1, p2)):
+            save_net(net, str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 50}')
+        monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
+        argv = ["separate", str(p1), str(p2), "-o", str(tmp_path / "out")]
+        assert main(argv) == EXIT_BUDGET_EXCEEDED
+        assert "saturation kept over 50 nodes" in capsys.readouterr().err
+        monkeypatch.delenv("REGSEP_CONFIG")
+        assert main(argv) == EXIT_OK
 
 
 class TestVerifyCommand:

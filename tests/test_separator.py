@@ -151,9 +151,9 @@ class TestSeparate:
     def test_saturates_once(self, monkeypatch):
         calls = []
 
-        def counting(net):
+        def counting(net, *args):
             calls.append(net)
-            return prestar_basis(net)
+            return prestar_basis(net, *args)
 
         for module in ("backward", "invariant", "separator"):
             monkeypatch.setattr(f"regsep.{module}.prestar_basis", counting)
