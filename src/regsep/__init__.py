@@ -30,7 +30,6 @@ from .petri import (
     covers,
     fire,
     identity_labeled,
-    ideal_succ,
     label_expand,
     net_size,
     product,
@@ -65,7 +64,6 @@ __all__ = [
     "determinize",
     "disjoint",
     "fire",
-    "ideal_succ",
     "identity_labeled",
     "intersect_ideals",
     "invariant_from_backward",

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .backward import replay_chain, saturate
 from .config import DEFAULT, Settings
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .ideals import OmegaMarking
 from .petri import LabeledPetriNet
 
@@ -80,8 +80,9 @@ def _subset_name(subset: frozenset[str]) -> str:
     return "{" + ",".join(sorted(subset)) + "}"
 
 
-def determinize(a: Nfa) -> Nfa:
-    """Subset construction; always yields a complete DFA (empty set as sink)."""
+def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
+    """Subset construction; always yields a complete DFA (empty set as sink).
+    Raises BudgetExceededError once it holds more than `node_budget` subsets."""
     table = a.successors()
     start = frozenset(a.initial)
     order: list[frozenset[str]] = [start]
@@ -99,6 +100,10 @@ def determinize(a: Nfa) -> Nfa:
             if tgt not in seen:
                 seen.add(tgt)
                 order.append(tgt)
+                if len(order) > settings.node_budget:
+                    raise BudgetExceededError(
+                        f"subset construction exceeded {settings.node_budget} subsets: "
+                        f"reached {len(order)} after expanding {i}")
             edges.append((_subset_name(subset), letter, _subset_name(tgt)))
     sink = frozenset()
     if sink not in seen:

@@ -85,7 +85,7 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         n1, n2 = n2, n1
     started = time.monotonic()
     try:
-        bundle = separator.separate(n1, n2, args.settings.bound_constant, args.settings)
+        bundle = separator.separate(n1, n2, args.settings)
     except NotDisjointError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_NOT_DISJOINT

@@ -13,7 +13,7 @@ from typing import Any
 
 from .automata import Nfa
 from .errors import InputError
-from .ideals import OMEGA, Coord, Marking, OmegaMarking
+from .ideals import OMEGA, Coord, OmegaMarking
 from .petri import LabeledPetriNet, Transition
 
 NET_FIELDS = {"places", "alphabet", "transitions", "initial", "final"}

@@ -15,13 +15,13 @@ from .ideals import (
     DownSet,
     OmegaMarking,
     UpSet,
-    coord_leq,
     complement_upset,
+    ideal_fire,
     member_down,
     omega_leq,
     vector_str,
 )
-from .petri import LabeledPetriNet, ideal_succ
+from .petri import LabeledPetriNet
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,18 @@ class InvariantCertificate:
     bound_ideal_count: int
 
 
+Successors = dict[tuple[OmegaMarking, str], list[OmegaMarking]]
+
+
 @dataclass
 class InvariantReport:
     initial_ok: bool
     final_ok: bool
     closed_ok: bool
     failures: list[str] = field(default_factory=list)
+    # (ideal, transition name) -> the ideals containing the ideal's successor,
+    # for every step enabled on the ideal; an empty list is an escape
+    successors: Successors = field(default_factory=dict, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -117,17 +123,13 @@ def invariant_from_backward(
     )
 
 
-def _ideal_meets_final(u: OmegaMarking, final) -> bool:
-    # the ideal of u intersects the upward cone of the final marking iff
-    # u dominates it coordinatewise, with OMEGA above everything
-    return all(coord_leq(f, c) for f, c in zip(final, u))
-
-
 def check_invariant(net: LabeledPetriNet, x: DownSet) -> InvariantReport:
     """Verify the three defining properties of an inductive invariant.
 
     (i) the initial marking belongs to the set, (ii) no ideal meets the
-    final cone, (iii) every ideal successor stays below some ideal.
+    final cone, (iii) every ideal successor stays below some ideal.  The
+    successor relation found for (iii) is kept in the report's
+    `successors`; the core automaton takes its edges from it.
     """
     if x.dimension != net.dimension:
         raise InputError(f"dimension mismatch: {x.dimension} vs {net.dimension}")
@@ -137,20 +139,25 @@ def check_invariant(net: LabeledPetriNet, x: DownSet) -> InvariantReport:
         failures.append(f"initial marking {net.initial} is not in the invariant")
     final_ok = True
     for u in x.ideals:
-        if _ideal_meets_final(u, net.final):
+        # the ideal meets the final cone iff it dominates the final marking
+        if omega_leq(net.final, u):
             final_ok = False
             failures.append(f"ideal {vector_str(u)} meets the final cone")
     closed_ok = True
+    successors: Successors = {}
     for u in x.ideals:
         for t in net.transitions:
-            s = ideal_succ(net, u, t.name)
+            s = ideal_fire(u, t.pre, t.post)
             if s is None:
                 continue
-            if not any(omega_leq(s, r) for r in x.ideals):
+            targets = [r for r in x.ideals if omega_leq(s, r)]
+            successors[u, t.name] = targets
+            if not targets:
                 closed_ok = False
                 failures.append(
                     f"successor {vector_str(s)} of {vector_str(u)} under {t.name} escapes"
                 )
     return InvariantReport(
-        initial_ok=initial_ok, final_ok=final_ok, closed_ok=closed_ok, failures=failures
+        initial_ok=initial_ok, final_ok=final_ok, closed_ok=closed_ok, failures=failures,
+        successors=successors,
     )

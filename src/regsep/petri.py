@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .ideals import Marking, OmegaMarking, check_marking, ideal_fire
+from .ideals import Marking, check_marking
 
 
 def ceil_log2(x: int) -> int:
@@ -92,14 +92,6 @@ def fire(net: LabeledPetriNet, m: Marking, t: str) -> Marking | None:
     if not all(x >= p for x, p in zip(m, tr.pre)):
         return None
     return tuple(x - p + q for x, p, q in zip(m, tr.pre, tr.post))
-
-
-def ideal_succ(net: LabeledPetriNet, u: OmegaMarking, t: str) -> OmegaMarking | None:
-    """Successor of the ideal `u` under transition `t`; None when disabled."""
-    if len(u) != net.dimension:
-        raise InputError(f"dimension mismatch: {len(u)} vs {net.dimension}")
-    tr = net.transition(t)
-    return ideal_fire(u, tr.pre, tr.post)
 
 
 def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:

@@ -24,7 +24,7 @@ from .automata import Nfa, complement, determinize, relabel, widen_alphabet
 from .backward import prestar_basis
 from .config import DEFAULT, Settings
 from .errors import NotDisjointError
-from .ideals import UpSet, coord_leq, ideal_fire, omega_leq
+from .ideals import UpSet, omega_leq
 from .invariant import InvariantCertificate, check_invariant, invariant_from_backward
 from .petri import LabeledPetriNet, identity_labeled, injectively_labeled, label_expand, product
 
@@ -62,9 +62,11 @@ def build_core_automaton(
     `prod` is that product, built here when not given.  `w_det` must be
     injectively labeled.  A state is initial if it dominates the joint
     initial marking and final if its w-side covers w's final marking.
-    Edges over-approximate joint steps existentially: the ideal successor
-    leads to every dominating state.  Steps that w can take while w_det
-    cannot fall into the absorbing dead state, which is final.
+    The edges are the successor relation that `check_invariant` records
+    while it checks closedness: a joint step from an ideal leads to every
+    ideal that contains its successor, so edges over-approximate joint
+    steps existentially.  Steps that w can take while w_det cannot fall
+    into the absorbing dead state, which is final.
     """
     if not injectively_labeled(w_det):
         raise ValueError("the deterministic component must be injectively labeled")
@@ -76,28 +78,17 @@ def build_core_automaton(
     ideals = cert.down.ideals
     names = {u: f"i{k}" for k, u in enumerate(ideals)}
     states = tuple(names[u] for u in ideals) + (DEAD_STATE,)
-    joint_initial = prod.initial
-    initial = frozenset(
-        names[u] for u in ideals if omega_leq(joint_initial, u)
-    )
-    final = {DEAD_STATE}
-    for u in ideals:
-        if all(coord_leq(f, c) for f, c in zip(w.final, u[:n1_dim])):
-            final.add(names[u])
+    initial = frozenset(names[u] for u in ideals if omega_leq(prod.initial, u))
+    final = {DEAD_STATE} | {names[u] for u in ideals if omega_leq(w.final, u[:n1_dim])}
     edges: set[tuple[str, str, str]] = set()
     for u in ideals:
         for pt in prod.transitions:
-            succ = ideal_fire(u, pt.pre, pt.post)
-            if succ is not None:
-                for r in ideals:
-                    if omega_leq(succ, r):
-                        edges.add((names[u], pt.label, names[r]))
-            else:
-                w_side_enabled = all(
-                    coord_leq(p, c) for p, c in zip(pt.pre[:n1_dim], u[:n1_dim])
-                )
-                if w_side_enabled:
-                    edges.add((names[u], pt.label, DEAD_STATE))
+            targets = report.successors.get((u, pt.name))
+            if targets is not None:
+                edges.update((names[u], pt.label, names[r]) for r in targets)
+            elif omega_leq(pt.pre[:n1_dim], u[:n1_dim]):
+                # w can step here, w_det cannot
+                edges.add((names[u], pt.label, DEAD_STATE))
     for letter in dict.fromkeys(t.label for t in w.transitions):
         edges.add((DEAD_STATE, letter, DEAD_STATE))
     annotations = tuple((names[u], u) for u in ideals)
@@ -115,7 +106,6 @@ def build_core_automaton(
 def separate(
     n1: LabeledPetriNet,
     n2: LabeledPetriNet,
-    bound_constant: int = 4,
     settings: Settings = DEFAULT,
 ) -> SeparatorBundle:
     """Produce a verified-by-construction separator bundle.
@@ -131,7 +121,7 @@ def separate(
     backward = prestar_basis(prod, settings)
     if backward.coverable:
         raise NotDisjointError("the coverability languages intersect; no separator exists")
-    cert = invariant_from_backward(prod, constant=bound_constant, backward=backward)
+    cert = invariant_from_backward(prod, constant=settings.bound_constant, backward=backward)
     log.info(
         "basis size %d (norm %d), invariant ideals %d",
         len(backward.basis.basis),
@@ -139,7 +129,7 @@ def separate(
         len(cert.down.ideals),
     )
     core = build_core_automaton(w, w_det, cert, prod)
-    dfa = determinize(core)
+    dfa = determinize(core, settings)
     comp = complement(dfa)
     log.info("core states %d, determinized states %d", len(core.states), len(dfa.states))
     sep = relabel(comp, {t.name: t.label for t in n2.transitions})

@@ -41,7 +41,7 @@ def verify_separator(
         )
     # minimizing first is language-preserving and keeps the synchronized
     # coverability encodings small
-    dfa = minimize(determinize(b))
+    dfa = minimize(determinize(b, settings))
     w1 = net_automaton_intersection_witness(n1, dfa, settings)
     w2 = net_automaton_intersection_witness(n2, complement(dfa), settings)
     return SeparatorReport(
@@ -71,6 +71,8 @@ def bounded_language(
     upward compatible.  Exceeding the node budget raises instead of
     silently truncating.
     """
+    if maxlen < 0:
+        raise InputError(f"maxlen {maxlen} is negative")
     if maxlen > settings.sample_maxlen_cap:
         raise InputError(
             f"maxlen {maxlen} exceeds the configured cap {settings.sample_maxlen_cap}"

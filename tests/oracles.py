@@ -11,6 +11,7 @@ import random
 from collections import deque
 from typing import Iterable, Sequence
 
+from regsep.automata import Nfa
 from regsep.backward import BackwardResult, pred_basis, replay_chain
 from regsep.ideals import (
     OMEGA,
@@ -20,9 +21,14 @@ from regsep.ideals import (
     OmegaMarking,
     UpSet,
     canonicalize_down,
+    coord_leq,
+    ideal_fire,
     intersect_ideals,
+    omega_leq,
 )
-from regsep.petri import LabeledPetriNet
+from regsep.invariant import InvariantCertificate, check_invariant
+from regsep.petri import LabeledPetriNet, injectively_labeled, product
+from regsep.separator import DEAD_STATE
 
 Word = tuple[str, ...]
 
@@ -292,3 +298,67 @@ def list_intersection_witness(net: LabeledPetriNet, a, saturation=None) -> Word 
             if all(x <= y for x, y in zip(b, net.initial)):
                 return replay_chain(net, parents, (q0, b))
     return None
+
+
+def fire_and_scan_core_automaton(
+    w: LabeledPetriNet, w_det: LabeledPetriNet, cert: InvariantCertificate,
+    prod: LabeledPetriNet | None = None,
+) -> Nfa:
+    """Automaton whose states are the invariant ideals of product(w, w_det).
+
+    `prod` is that product, built here when not given.  `w_det` must be
+    injectively labeled.  A state is initial if it dominates the joint
+    initial marking and final if its w-side covers w's final marking.
+    Edges over-approximate joint steps existentially: the ideal successor
+    leads to every dominating state.  Steps that w can take while w_det
+    cannot fall into the absorbing dead state, which is final.
+
+    This is the library's original construction, which fires every step on
+    every ideal itself; it is kept as the reference for
+    `regsep.separator.build_core_automaton`, which reads the same relation
+    off the invariant check.
+    """
+    if not injectively_labeled(w_det):
+        raise ValueError("the deterministic component must be injectively labeled")
+    prod = product(w, w_det) if prod is None else prod
+    report = check_invariant(prod, cert.down)
+    if not report.passed:
+        raise ValueError(f"certificate does not pass the invariant check: {report.failures}")
+    n1_dim = len(w.places)
+    ideals = cert.down.ideals
+    names = {u: f"i{k}" for k, u in enumerate(ideals)}
+    states = tuple(names[u] for u in ideals) + (DEAD_STATE,)
+    joint_initial = prod.initial
+    initial = frozenset(
+        names[u] for u in ideals if omega_leq(joint_initial, u)
+    )
+    final = {DEAD_STATE}
+    for u in ideals:
+        if all(coord_leq(f, c) for f, c in zip(w.final, u[:n1_dim])):
+            final.add(names[u])
+    edges: set[tuple[str, str, str]] = set()
+    for u in ideals:
+        for pt in prod.transitions:
+            succ = ideal_fire(u, pt.pre, pt.post)
+            if succ is not None:
+                for r in ideals:
+                    if omega_leq(succ, r):
+                        edges.add((names[u], pt.label, names[r]))
+            else:
+                w_side_enabled = all(
+                    coord_leq(p, c) for p, c in zip(pt.pre[:n1_dim], u[:n1_dim])
+                )
+                if w_side_enabled:
+                    edges.add((names[u], pt.label, DEAD_STATE))
+    for letter in dict.fromkeys(t.label for t in w.transitions):
+        edges.add((DEAD_STATE, letter, DEAD_STATE))
+    annotations = tuple((names[u], u) for u in ideals)
+    return Nfa(
+        states=states,
+        alphabet=w.alphabet,
+        transitions=tuple(sorted(edges)),
+        initial=initial,
+        final=frozenset(final),
+        annotations=annotations,
+        annotation_places=prod.places,
+    )

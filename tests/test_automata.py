@@ -20,8 +20,11 @@ from regsep.automata import (
     to_dot,
 )
 from regsep.backward import coverable
-from regsep.errors import InputError
+from regsep.config import DEFAULT, Settings
+from regsep.errors import BudgetExceededError, InputError
+from regsep.generators import last_letter_pair
 from regsep.separator import separate
+from regsep.verify import verify_separator
 
 from .conftest import make_worked_pair
 from .oracles import all_words, naive_language, nfa_words, random_nfa
@@ -87,6 +90,37 @@ class TestDeterminize:
             dfa = determinize(a)
             assert is_complete_dfa(dfa)
             assert nfa_words(a, 5) == nfa_words(dfa, 5)
+
+
+class TestDeterminizeBudget:
+    def test_raises_past_node_budget(self):
+        core = separate(*last_letter_pair(3)).core
+        dfa = determinize(core)
+        n = len(dfa.states)  # all reachable, the empty sink included
+        # exactly the subsets it holds is enough; one fewer is not
+        assert determinize(core, Settings(node_budget=n)) == dfa
+        with pytest.raises(BudgetExceededError, match=rf"exceeded {n - 1} subsets: reached {n} "):
+            determinize(core, Settings(node_budget=n - 1))
+
+    def test_separate_and_verify_pass_their_settings(self, monkeypatch):
+        seen = []
+
+        def spy(a, settings=DEFAULT):
+            seen.append(settings)
+            return determinize(a, settings)
+
+        for module in ("separator", "verify"):
+            monkeypatch.setattr(f"regsep.{module}.determinize", spy)
+        n1, n2 = make_worked_pair()
+        roomy = Settings(node_budget=10_000)
+        verify_separator(n1, n2, separate(n1, n2, roomy).separator, roomy)
+        assert seen == [roomy, roomy]
+
+    def test_verification_raises_in_subset_construction(self):
+        n1, n2 = last_letter_pair(3)
+        separator = separate(n1, n2).separator
+        with pytest.raises(BudgetExceededError, match="subset construction"):
+            verify_separator(n1, n2, separator, Settings(node_budget=50))
 
 
 class TestComplement:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from regsep.automata import determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import (
     coverability_witness,
     coverable,
@@ -151,6 +152,15 @@ class TestBudget:
         assert verify_separator(n0, n1, separator).passed
         with pytest.raises(BudgetExceededError):
             verify_separator(n0, n1, separator, Settings(node_budget=20))
+
+    def test_witness_search_alone_raises_past_node_budget(self):
+        # at small budgets verify_separator stops in its subset construction
+        # first, so the search is run by itself on the minimal DFA here
+        n0, n1 = last_letter_pair(3)
+        dfa = minimize(determinize(separate(n0, n1).separator))
+        assert net_automaton_intersection_witness(n0, dfa) is None
+        with pytest.raises(BudgetExceededError, match="saturation kept over 20 nodes"):
+            net_automaton_intersection_witness(n0, dfa, Settings(node_budget=20))
 
 
 class TestCoverableDisjoint:

@@ -220,6 +220,13 @@ class TestSample:
         p1, _ = worked_files
         assert main(["sample", p1, "--maxlen", "11"]) == EXIT_INPUT_ERROR
 
+    def test_negative_maxlen_rejected(self, worked_files, capsys):
+        p1, _ = worked_files
+        assert main(["sample", p1, "--maxlen", "-3"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err
+
     def test_config_raises_cap(self, worked_files, tmp_path):
         p1, _ = worked_files
         cfg = tmp_path / "cfg.json"

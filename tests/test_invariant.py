@@ -17,7 +17,7 @@ from regsep.invariant import (
 from regsep.petri import LabeledPetriNet, Transition, product
 
 from .conftest import make_worked_pair
-from .oracles import all_markings
+from .oracles import all_markings, naive_coord_leq
 
 W = OMEGA
 
@@ -94,6 +94,29 @@ class TestCheckInvariant:
         report = check_invariant(prod, DownSet(2, ((0, 2),)))
         assert not report.closed_ok
         assert any("escapes" in f for f in report.failures)
+        assert report.successors == {((0, 2), "(t_a,s_a)"): []}
+
+    def test_successors_match_brute_force_scan(self):
+        n1, n2 = make_worked_pair()
+        prod = product(n1, n2)
+        down = invariant_from_backward(prod).down
+        expected = {}
+        for u in down.ideals:
+            for t in prod.transitions:
+                if not all(naive_coord_leq(p, c) for p, c in zip(t.pre, u)):
+                    continue
+                succ = tuple(
+                    W if c is W else c - p + q for c, p, q in zip(u, t.pre, t.post)
+                )
+                expected[u, t.name] = [
+                    r for r in down.ideals if all(map(naive_coord_leq, succ, r))
+                ]
+        report = check_invariant(prod, down)
+        assert report.successors == expected
+        # (0,2) -> (1,1) -> (w,0), where the second net cannot step
+        step = "(t_a,s_a)"
+        assert expected == {((0, 2), step): [(1, 1)], ((1, 1), step): [(W, 0)]}
+        assert "successors" not in repr(report)
 
     def test_dimension_mismatch(self):
         n1, n2 = make_worked_pair()

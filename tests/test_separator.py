@@ -6,8 +6,9 @@ import pytest
 
 from regsep.automata import member
 from regsep.backward import prestar_basis
+from regsep.config import Settings
 from regsep.errors import NotDisjointError
-from regsep.generators import random_net_pair
+from regsep.generators import last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA
 from regsep.invariant import check_invariant, invariant_from_backward
 from regsep.petri import (
@@ -26,7 +27,7 @@ from regsep.separator import (
 from regsep.verify import bounded_language, verify_separator
 
 from .conftest import make_worked_pair
-from .oracles import all_words, naive_language
+from .oracles import all_words, fire_and_scan_core_automaton, naive_language
 
 W = OMEGA
 
@@ -136,6 +137,35 @@ class TestBuildCoreAutomaton:
             assert len(left) + len(right) == len(core.annotation_places)
 
 
+class TestCoreAgainstFireAndScan:
+    """The core automaton equals the original fire-and-scan construction."""
+
+    @staticmethod
+    def assert_same_core(bundle):
+        expected = fire_and_scan_core_automaton(bundle.w, bundle.w_det, bundle.certificate)
+        assert bundle.core == expected
+
+    def test_worked_pair(self):
+        self.assert_same_core(separate(*make_worked_pair()))
+
+    def test_disjoint_corpus(self, disjoint_corpus):
+        for _seed, _n1, _n2, bundle in disjoint_corpus:
+            self.assert_same_core(bundle)
+
+    def test_random_pairs(self):
+        compared = 0
+        for seed in range(100):
+            pair = random_net_pair(seed)
+            if pair.disjoint:
+                self.assert_same_core(separate(pair.n1, pair.n2))
+                compared += 1
+        assert compared >= 50
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_last_letter(self, k):
+        self.assert_same_core(separate(*last_letter_pair(k)))
+
+
 class TestSeparate:
     def test_refuses_overlapping_languages(self):
         net = LabeledPetriNet(
@@ -194,6 +224,13 @@ class TestSeparate:
         n1, n2 = make_worked_pair()
         separate(n1, n2)
         assert len(calls) == 1
+
+    def test_bound_constant_from_settings(self):
+        n1, n2 = make_worked_pair()
+        default = separate(n1, n2).certificate.bound
+        raised = separate(n1, n2, Settings(bound_constant=5)).certificate.bound
+        assert raised.base == default.base
+        assert raised.exponent == 2 * default.exponent
 
     def test_separator_alphabet_is_joint_alphabet(self):
         for seed in (0, 2, 3, 5):

@@ -92,6 +92,11 @@ class TestBoundedLanguage:
         with pytest.raises(InputError):
             bounded_language(n1, 11)
 
+    def test_negative_maxlen_rejected(self, worked_pair):
+        n1, _ = worked_pair
+        with pytest.raises(InputError, match="negative"):
+            bounded_language(n1, -3)
+
     def test_node_budget_overflow_is_loud(self):
         net = LabeledPetriNet(
             places=("p", "q"),
