@@ -14,7 +14,7 @@ from typing import Hashable, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
-from .ideals import Antichain, Marking, UpSet, _trusted, check_marking, member_up
+from .ideals import Antichain, Marking, UpSet, check_marking, member_up
 from .petri import LabeledPetriNet, covers, fire, product
 
 # maps each discovered basis vector to the (transition, target vector) pair
@@ -87,8 +87,7 @@ def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Backwar
     one: the one-state case of `saturate`."""
     back = {(None, t.label): (None,) for t in net.transitions}
     chains, parents, iterations = saturate(net, (None,), back, settings)
-    # plain tuple order is the canonical order on markings
-    basis = _trusted(UpSet, net.dimension, tuple(sorted(chains[None])))
+    basis = UpSet(net.dimension, tuple(sorted(chains[None])))
     return BackwardResult(
         basis=basis,
         iterations=iterations,

@@ -57,9 +57,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if result.coverable:
         print("COVERABLE: the product accepts a word, no inductive invariant exists")
         return EXIT_PROPERTY_FAILED
-    cert = invariant.invariant_from_backward(
-        prod, constant=args.settings.bound_constant, backward=result
-    )
+    cert = invariant.invariant_from_backward(prod, args.settings, result)
     for u in cert.down.ideals:
         print(f"ideal {vector_str(u)}")
     report = invariant.check_invariant(prod, cert.down)

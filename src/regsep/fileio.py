@@ -38,7 +38,7 @@ def _check_count(value: Any, where: str) -> int:
 def _vector_to_map(places: tuple[str, ...], v: tuple[Coord, ...]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for p, c in zip(places, v):
-        if c is OMEGA:
+        if c == OMEGA:
             out[p] = "w"
         elif c != 0:
             out[p] = c

@@ -1,77 +1,40 @@
 """Exact set algebra for markings, omega-markings, and up/down-closed subsets of N^d.
 
 Vectors are plain tuples.  A marking is a tuple of non-negative ints.  An
-omega-marking may additionally contain OMEGA, a sentinel that compares
-strictly above every natural and absorbs addition and subtraction.  An
-omega-marking u denotes the ideal of all markings m with m <= u
-componentwise; a finite antichain of omega-markings denotes a
+omega-marking may additionally contain OMEGA, which is `math.inf`: the top
+element of N_omega, above every natural and unchanged by adding or
+subtracting one.  So the plain `<=`, `min`, `+` and `-` on coordinates are
+the order, meet and token updates of N_omega, exact as long as OMEGA only
+meets naturals.  An omega-marking u denotes the ideal of all markings m
+with m <= u componentwise; a finite antichain of omega-markings denotes a
 downward-closed set, and a finite antichain of markings denotes an
 upward-closed set via its minimal elements.
 
-Canonical ordering of antichains is lexicographic with OMEGA greatest, so
-serialized artifacts are byte-stable across runs.
+Canonical ordering of antichains is plain tuple order, which puts OMEGA
+last, so serialized artifacts are byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import le
-from typing import Any, Iterable, Union
+from operator import add, ge, le, sub
+from typing import Iterable, Union
 
-from .errors import InputError
+from .config import DEFAULT, Settings
+from .errors import BudgetExceededError, InputError
 
+OMEGA = math.inf
 
-class _Omega:
-    """Sentinel for an unbounded coordinate.  Compare with `is OMEGA`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "w"
-
-
-OMEGA = _Omega()
-
-Coord = Union[int, _Omega]
+Coord = Union[int, float]
 Marking = tuple[int, ...]
 OmegaMarking = tuple[Coord, ...]
-_BITS = tuple(1 << i for i in range(64))  # places past 64 get no support bit: less pruning
-
-
-def coord_leq(a: Coord, b: Coord) -> bool:
-    if b is OMEGA:
-        return True
-    return a is not OMEGA and a <= b
-
-
-def coord_min(a: Coord, b: Coord) -> Coord:
-    if a is OMEGA:
-        return b
-    if b is OMEGA:
-        return a
-    return min(a, b)
-
-
-def coord_add(a: Coord, n: int) -> Coord:
-    return OMEGA if a is OMEGA else a + n
-
-
-def coord_sub(a: Coord, n: int) -> Coord:
-    return OMEGA if a is OMEGA else a - n
-
-
-def coord_str(c: Coord) -> str:
-    return "w" if c is OMEGA else str(c)
+_BITS = tuple(1 << i for i in range(64))  # places past 64 get no bucket bit: less pruning
 
 
 def vector_str(u: OmegaMarking) -> str:
-    return "(" + ",".join(coord_str(c) for c in u) + ")"
-
-
-def _sort_key(u: OmegaMarking) -> tuple:
-    # lexicographic with OMEGA greatest
-    return tuple((1, 0) if c is OMEGA else (0, c) for c in u)
+    return "(" + ",".join("w" if c == OMEGA else str(c) for c in u) + ")"
 
 
 def check_marking(m: Marking, dimension: int | None = None) -> None:
@@ -86,7 +49,7 @@ def check_omega_marking(u: OmegaMarking, dimension: int | None = None) -> None:
     if dimension is not None and len(u) != dimension:
         raise InputError(f"dimension mismatch: expected {dimension}, got {len(u)}")
     for c in u:
-        if c is OMEGA:
+        if c == OMEGA:
             continue
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise InputError(f"omega-marking entry {c!r} is not a natural or OMEGA")
@@ -96,25 +59,25 @@ def omega_leq(u: OmegaMarking, v: OmegaMarking) -> bool:
     """Componentwise order on omega-markings; equals inclusion of the ideals."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return all(coord_leq(a, b) for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def intersect_ideals(u: OmegaMarking, v: OmegaMarking) -> OmegaMarking:
-    """Intersection of two ideals: componentwise min with OMEGA as top."""
+    """Intersection of two ideals: componentwise min."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(coord_min(a, b) for a, b in zip(u, v))
+    return tuple(map(min, u, v))
 
 
 def ideal_fire(u: OmegaMarking, pre: Marking, post: Marking) -> OmegaMarking | None:
     """Successor of the ideal `u` under a step with the given pre/post vectors.
 
-    Defined when u >= pre componentwise (OMEGA dominates); OMEGA absorbs the
-    token updates.  Returns None when the step is disabled on the ideal.
+    Defined when u >= pre componentwise; OMEGA coordinates stay OMEGA.
+    Returns None when the step is disabled on the ideal.
     """
-    if not all(coord_leq(p, c) for p, c in zip(pre, u)):
+    if not all(map(le, pre, u)):
         return None
-    return tuple(coord_add(coord_sub(c, p), q) for c, p, q in zip(u, pre, post))
+    return tuple(map(add, map(sub, u, pre), post))  # u - pre + post
 
 
 @dataclass(frozen=True)
@@ -127,11 +90,9 @@ class UpSet:
     def __post_init__(self) -> None:
         for m in self.basis:
             check_marking(m, self.dimension)
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                if i != j and all(x <= y for x, y in zip(a, b)):
-                    raise InputError(f"basis is not an antichain: {a} <= {b}")
-        if list(self.basis) != sorted(self.basis, key=_sort_key):
+        if len(Antichain(self.basis)) != len(self.basis):
+            raise InputError("basis is not an antichain")
+        if list(self.basis) != sorted(self.basis):
             raise InputError("basis is not in canonical order")
 
     def __contains__(self, m: Marking) -> bool:
@@ -152,11 +113,9 @@ class DownSet:
     def __post_init__(self) -> None:
         for u in self.ideals:
             check_omega_marking(u, self.dimension)
-        for i, a in enumerate(self.ideals):
-            for j, b in enumerate(self.ideals):
-                if i != j and omega_leq(a, b):
-                    raise InputError(f"ideals are not an antichain: {a} included in {b}")
-        if list(self.ideals) != sorted(self.ideals, key=_sort_key):
+        if len(IdealAntichain(self.ideals)) != len(self.ideals):
+            raise InputError("ideals are not an antichain")
+        if list(self.ideals) != sorted(self.ideals):
             raise InputError("ideals are not in canonical order")
 
     def __contains__(self, m: Marking) -> bool:
@@ -164,66 +123,93 @@ class DownSet:
 
 
 class Antichain(dict):
-    """The minimal elements of the markings added so far, in insertion order,
-    each mapped to its support bitmask.  b <= m needs supp(b) inside supp(m),
-    so the elements are bucketed by support: a dominance query skips every
-    bucket with a bit outside supp(m), and an eviction visits only the
-    buckets containing supp(m).  Change it only through `add`."""
+    """The elements that no other is below in the order `le`, among the
+    vectors added so far, in insertion order, each mapped to its bucket key.
+    The key `_mask(v)` is a bitmask such that b `le` m needs key(b) inside
+    key(m); so a query for the elements below m skips every bucket with a
+    bit outside key(m), and an eviction visits only the buckets containing
+    key(m).  Here `le` is the componentwise order and the key is the
+    support, so the elements are the minimal markings.  Change it only
+    through `add` and `drop`."""
 
     __slots__ = ("_buckets",)
+    le = le
 
-    def __init__(self) -> None:
+    def __init__(self, elements: Iterable[OmegaMarking] = ()) -> None:
         super().__init__()
-        self._buckets: dict[int, set[Marking]] = {}
+        self._buckets: dict[int, set[OmegaMarking]] = {}
+        for m in elements:
+            self.add(m)
 
-    def add(self, m: Marking) -> bool:
+    @staticmethod
+    def _mask(m: OmegaMarking) -> int:
+        return sum(compress(_BITS, m))
+
+    def add(self, m: OmegaMarking) -> bool:
         """Insert `m` and evict the elements above it, unless an element is
         below or equal to `m`.  Returns whether `m` was inserted."""
-        mask = sum(compress(_BITS, m))
+        order, mask = self.le, self._mask(m)
         above = []
         for key, bucket in self._buckets.items():
-            if not key & ~mask and any(all(map(le, b, m)) for b in bucket):
+            if not key & ~mask and any(all(map(order, b, m)) for b in bucket):
                 return False
             if key & mask == mask:
-                above += [b for b in bucket if all(map(le, m, b))]
+                above += [b for b in bucket if all(map(order, m, b))]
         for b in above:
-            key = self.pop(b)
-            self._buckets[key].discard(b)
-            if not self._buckets[key]:
-                del self._buckets[key]
+            self.drop(b)
         self[m] = mask
         self._buckets.setdefault(mask, set()).add(m)
         return True
 
+    def below(self, m: OmegaMarking) -> list[OmegaMarking]:
+        """The elements below or equal to `m` in the order `le`, in no
+        particular order."""
+        order, mask = self.le, self._mask(m)
+        return [
+            b
+            for key, bucket in self._buckets.items()
+            if not key & ~mask
+            for b in bucket
+            if all(map(order, b, m))
+        ]
 
-def _trusted(cls: type, dimension: int, elements: tuple) -> Any:
-    """UpSet or DownSet without validation, for a canonical antichain by construction."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, (dimension, elements)):
-        object.__setattr__(obj, name, value)  # as the frozen dataclass's __init__ does
-    return obj
+    def drop(self, b: OmegaMarking) -> None:
+        """Remove the element `b`."""
+        key = self.pop(b)
+        bucket = self._buckets[key]
+        bucket.discard(b)
+        if not bucket:
+            del self._buckets[key]
+
+
+class IdealAntichain(Antichain):
+    """The same engine under the reverse order: the maximal ideals among the
+    omega-markings added so far, and `below(s)` is the ideals containing s.
+    u <= r needs fin(r) inside fin(u), so the key is the set of finite
+    coordinates."""
+
+    __slots__ = ()
+    le = ge
+
+    @staticmethod
+    def _mask(u: OmegaMarking) -> int:
+        return sum(compress(_BITS, map(OMEGA.__ne__, u)))
 
 
 def canonicalize_up(dimension: int, vectors: Iterable[Marking]) -> UpSet:
     """Keep only minimal vectors, sorted canonically."""
-    minimal = Antichain()
-    for v in map(tuple, vectors):
+    vecs = [tuple(v) for v in vectors]
+    for v in vecs:
         check_marking(v, dimension)
-        minimal.add(v)
-    return UpSet(dimension, tuple(sorted(minimal, key=_sort_key)))
+    return UpSet(dimension, tuple(sorted(Antichain(vecs))))
 
 
 def canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet:
     """Keep only maximal ideals, sorted canonically."""
-    vecs = list(dict.fromkeys(tuple(u) for u in ideals))
+    vecs = [tuple(u) for u in ideals]
     for u in vecs:
         check_omega_marking(u, dimension)
-    maximal = [
-        u
-        for u in vecs
-        if not any(w != u and omega_leq(u, w) for w in vecs)
-    ]
-    return DownSet(dimension, tuple(sorted(set(maximal), key=_sort_key)))
+    return DownSet(dimension, tuple(sorted(IdealAntichain(vecs))))
 
 
 def member_up(m: Marking, u: UpSet) -> bool:
@@ -238,25 +224,31 @@ def member_down(m: Marking, x: DownSet) -> bool:
     return any(omega_leq(m, u) for u in x.ideals)
 
 
-def complement_upset(u: UpSet) -> DownSet:
+def complement_upset(u: UpSet, settings: Settings = DEFAULT) -> DownSet:
     """Ideal decomposition of N^d minus the given upward-closed set.
 
     Removes one basis vector's cone at a time from (OMEGA, ..., OMEGA).  An
     ideal meets the cone of v iff it contains v, so only those ideals split,
     each into one piece per coordinate j with v(j) > 0, pinned to v(j)-1.
-    The other ideals stay maximal, since a piece lies inside the ideal it
-    came from and the ideals form an antichain; only new pieces are filtered.
+    A piece lies inside the ideal it came from and the ideals form an
+    antichain, so no other ideal lies below a piece: dropping the split
+    ideals and adding the pieces keeps exactly the maximal ones.  Raises
+    BudgetExceededError once more than `settings.node_budget` ideals are held.
     """
-    acc = [(OMEGA,) * u.dimension]
-    for v in u.basis:
-        split = [a for a in acc if omega_leq(v, a)]
-        survivors = [a for a in acc if not omega_leq(v, a)]
-        pieces = [a[:j] + (vj - 1,) + a[j + 1 :] for a in split for j, vj in enumerate(v) if vj]
-        # no two pieces are equal, since the ideals split were an antichain
-        candidates = survivors + pieces
-        acc = survivors + [
-            p for p in pieces if not any(q is not p and omega_leq(p, q) for q in candidates)
-        ]
+    acc = IdealAntichain([(OMEGA,) * u.dimension])
+    for done, v in enumerate(u.basis, 1):
+        split = acc.below(v)
+        for a in split:
+            acc.drop(a)
+        for a in split:
+            for j, vj in enumerate(v):
+                if vj:
+                    acc.add(a[:j] + (vj - 1,) + a[j + 1 :])
+        if len(acc) > settings.node_budget:
+            raise BudgetExceededError(
+                f"complement held {len(acc)} ideals, over the budget of {settings.node_budget}, "
+                f"after {done} of {len(u.basis)} basis vectors"
+            )
         if not acc:
             break
-    return _trusted(DownSet, u.dimension, tuple(sorted(acc, key=_sort_key)))
+    return DownSet(u.dimension, tuple(sorted(acc)))

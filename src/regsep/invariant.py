@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backward import BackwardResult, prestar_basis
+from .config import DEFAULT, Settings
 from .errors import InputError
 from .ideals import (
     DownSet,
+    IdealAntichain,
     OmegaMarking,
     UpSet,
     complement_upset,
@@ -103,22 +105,24 @@ def theoretical_bound(net: LabeledPetriNet, constant: int = 4) -> int:
 
 def invariant_from_backward(
     net: LabeledPetriNet,
-    constant: int = 4,
+    settings: Settings = DEFAULT,
     backward: BackwardResult | None = None,
 ) -> InvariantCertificate:
     """Greatest inductive invariant, as the complement of the backward cone.
 
     Requires the net's language to be empty; otherwise no invariant exists.
+    The saturation and the complement run within `settings.node_budget`,
+    and the bound uses `settings.bound_constant`.
     """
     if backward is None:
-        backward = prestar_basis(net)
+        backward = prestar_basis(net, settings)
     if backward.coverable:
         raise InputError("net is coverable: no inductive invariant exists")
-    down = complement_upset(backward.basis)
+    down = complement_upset(backward.basis, settings)
     return InvariantCertificate(
         down=down,
         source_basis=backward.basis,
-        bound=backward_bound(net, constant),
+        bound=backward_bound(net, settings.bound_constant),
         bound_ideal_count=(backward.basis.norm() + 2) ** net.dimension,
     )
 
@@ -145,12 +149,13 @@ def check_invariant(net: LabeledPetriNet, x: DownSet) -> InvariantReport:
             failures.append(f"ideal {vector_str(u)} meets the final cone")
     closed_ok = True
     successors: Successors = {}
+    containers = IdealAntichain(x.ideals)
     for u in x.ideals:
         for t in net.transitions:
             s = ideal_fire(u, t.pre, t.post)
             if s is None:
                 continue
-            targets = [r for r in x.ideals if omega_leq(s, r)]
+            targets = sorted(containers.below(s))  # in the order of x.ideals
             successors[u, t.name] = targets
             if not targets:
                 closed_ok = False

@@ -121,7 +121,7 @@ def separate(
     backward = prestar_basis(prod, settings)
     if backward.coverable:
         raise NotDisjointError("the coverability languages intersect; no separator exists")
-    cert = invariant_from_backward(prod, constant=settings.bound_constant, backward=backward)
+    cert = invariant_from_backward(prod, settings, backward)
     log.info(
         "basis size %d (norm %d), invariant ideals %d",
         len(backward.basis.basis),

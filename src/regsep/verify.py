@@ -8,7 +8,7 @@ from typing import Iterable
 from .automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
-from .ideals import Marking
+from .ideals import IdealAntichain, Marking
 from .petri import LabeledPetriNet, covers
 
 Word = tuple[str, ...]
@@ -52,15 +52,6 @@ def verify_separator(
     )
 
 
-def _maximal(markings: Iterable[Marking]) -> list[Marking]:
-    ms = list(dict.fromkeys(markings))
-    return [
-        m
-        for m in ms
-        if not any(n != m and all(x <= y for x, y in zip(m, n)) for n in ms)
-    ]
-
-
 def bounded_language(
     net: LabeledPetriNet, maxlen: int, settings: Settings = DEFAULT
 ) -> tuple[Word, ...]:
@@ -101,7 +92,7 @@ def bounded_language(
                 nxt.setdefault(key, []).extend(reached)
         frontier = {}
         for word, markings in nxt.items():
-            kept = _maximal(markings)
+            kept = list(IdealAntichain(markings))  # the maximal ones, first seen first
             nodes += len(kept)
             if nodes > settings.node_budget:
                 raise BudgetExceededError(

@@ -20,8 +20,7 @@ from regsep.ideals import (
     Marking,
     OmegaMarking,
     UpSet,
-    canonicalize_down,
-    coord_leq,
+    check_omega_marking,
     ideal_fire,
     intersect_ideals,
     omega_leq,
@@ -43,15 +42,43 @@ def naive_member_up(m: Marking, basis: Iterable[Marking]) -> bool:
 
 
 def naive_coord_leq(a: Coord, b: Coord) -> bool:
-    if b is OMEGA:
+    if b == OMEGA:
         return True
-    if a is OMEGA:
+    if a == OMEGA:
         return False
     return a <= b
 
 
 def naive_member_down(m: Marking, ideals: Iterable[OmegaMarking]) -> bool:
     return any(all(naive_coord_leq(x, u) for x, u in zip(m, vec)) for vec in ideals)
+
+
+def naive_canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet:
+    """Keep only maximal ideals, sorted canonically, comparing every pair.
+
+    This is the library's original `regsep.ideals.canonicalize_down`, kept
+    as its reference.
+    """
+    vecs = list(dict.fromkeys(tuple(u) for u in ideals))
+    for u in vecs:
+        check_omega_marking(u, dimension)
+    maximal = [
+        u
+        for u in vecs
+        if not any(w != u and all(map(naive_coord_leq, u, w)) for w in vecs)
+    ]
+    return DownSet(dimension, tuple(sorted(set(maximal))))
+
+
+def naive_maximal(markings: Iterable[Marking]) -> list[Marking]:
+    """The maximal markings, in order of first occurrence, comparing every
+    pair: the original maximality filter of `regsep.verify.bounded_language`."""
+    ms = list(dict.fromkeys(markings))
+    return [
+        m
+        for m in ms
+        if not any(n != m and all(x <= y for x, y in zip(m, n)) for n in ms)
+    ]
 
 
 def naive_fire(net: LabeledPetriNet, m: Marking, tname: str) -> Marking | None:
@@ -205,10 +232,10 @@ def fold_complement_upset(u: UpSet) -> DownSet:
             ideal[j] = vj - 1
             disjuncts.append(tuple(ideal))
         acc = [intersect_ideals(a, b) for a in acc for b in disjuncts]
-        acc = list(canonicalize_down(d, acc).ideals)
+        acc = list(naive_canonicalize_down(d, acc).ideals)
         if not acc:
             break
-    return canonicalize_down(d, acc)
+    return naive_canonicalize_down(d, acc)
 
 
 def list_prestar_basis(net: LabeledPetriNet) -> BackwardResult:
@@ -334,7 +361,7 @@ def fire_and_scan_core_automaton(
     )
     final = {DEAD_STATE}
     for u in ideals:
-        if all(coord_leq(f, c) for f, c in zip(w.final, u[:n1_dim])):
+        if all(naive_coord_leq(f, c) for f, c in zip(w.final, u[:n1_dim])):
             final.add(names[u])
     edges: set[tuple[str, str, str]] = set()
     for u in ideals:
@@ -346,7 +373,7 @@ def fire_and_scan_core_automaton(
                         edges.add((names[u], pt.label, names[r]))
             else:
                 w_side_enabled = all(
-                    coord_leq(p, c) for p, c in zip(pt.pre[:n1_dim], u[:n1_dim])
+                    naive_coord_leq(p, c) for p, c in zip(pt.pre[:n1_dim], u[:n1_dim])
                 )
                 if w_side_enabled:
                     edges.add((names[u], pt.label, DEAD_STATE))

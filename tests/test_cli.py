@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -14,7 +15,7 @@ from regsep.cli import (
     EXIT_PROPERTY_FAILED,
     main,
 )
-from regsep.fileio import load_automaton, save_net
+from regsep.fileio import load_automaton, net_to_dict, save_net
 from regsep.generators import last_letter_pair, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 
@@ -90,6 +91,18 @@ class TestInvariant:
     def test_coverable_product(self, worked_files):
         p1, _ = worked_files
         assert main(["invariant", p1, p1]) == EXIT_PROPERTY_FAILED
+
+    def test_complement_budget_from_environment(self, tmp_path, monkeypatch, capsys):
+        # the saturation fits in 31 nodes, the complement needs 32 ideals
+        pair = random_net_pair(1)
+        p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
+        save_net(pair.n1, str(p1))
+        save_net(pair.n2, str(p2))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 31}')
+        monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
+        assert main(["invariant", str(p1), str(p2)]) == EXIT_BUDGET_EXCEEDED
+        assert "complement held 32 ideals" in capsys.readouterr().err
 
 
 class TestSeparate:
@@ -179,6 +192,32 @@ class TestSeparate:
         assert "saturation kept over 50 nodes" in capsys.readouterr().err
         monkeypatch.delenv("REGSEP_CONFIG")
         assert main(argv) == EXIT_OK
+
+
+class TestFloatsInInput:
+    """OMEGA is a float in memory, but no float is a count on disk."""
+
+    def test_infinity_in_a_net_exits_2(self, tmp_path, capsys):
+        raw = net_to_dict(make_worked_pair()[0])
+        raw["initial"] = {"p": math.inf}
+        path = tmp_path / "inf.net"
+        path.write_text(json.dumps(raw))
+        assert "Infinity" in path.read_text()
+        assert main(["cover", str(path)]) == EXIT_INPUT_ERROR
+        assert "counts must be non-negative decimal integers" in capsys.readouterr().err
+
+    def test_nan_in_an_annotation_exits_2(self, worked_files, tmp_path, capsys):
+        p1, p2 = worked_files
+        out = tmp_path / "out"
+        assert main(["separate", p1, p2, "-o", str(out)]) == EXIT_OK
+        raw = json.loads((out / "core.aut").read_text())
+        state = next(iter(raw["annotations"]))
+        raw["annotations"][state] = {place: math.nan for place in raw["annotation_places"]}
+        path = tmp_path / "nan.aut"
+        path.write_text(json.dumps(raw))
+        assert "NaN" in path.read_text()
+        assert main(["verify", p1, p2, str(path)]) == EXIT_INPUT_ERROR
+        assert "counts must be non-negative decimal integers" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

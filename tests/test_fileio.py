@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -98,11 +99,28 @@ class TestAutomatonFormat:
         core = separate(n1, n2).core
         raw = automaton_to_dict(core)
         omega_states = [
-            s for s, u in core.annotations if any(c is OMEGA for c in u)
+            s for s, u in core.annotations if any(c == OMEGA for c in u)
         ]
         assert omega_states
         for s in omega_states:
             assert "w" in raw["annotations"][s].values()
+
+    def test_w_round_trips_through_omega(self):
+        raw = {
+            "states": ["q"],
+            "alphabet": ["a"],
+            "initial": ["q"],
+            "final": [],
+            "transitions": [],
+            "annotation_places": ["p", "r"],
+            "annotations": {"q": {"p": "w", "r": 2}},
+        }
+        a = automaton_from_dict(raw)
+        assert a.annotations == (("q", (OMEGA, 2)),)
+        assert automaton_to_dict(a) == raw
+        # an OMEGA made by arithmetic is a new float object; it is still "w"
+        moved = dataclasses.replace(a, annotations=(("q", (OMEGA + 3, 2)),))
+        assert automaton_to_dict(moved) == raw
 
     def test_annotations_require_places(self):
         raw = {

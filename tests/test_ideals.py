@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsep.backward import prestar_basis
-from regsep.errors import InputError
-from regsep.generators import random_net_pair
+from regsep.config import Settings
+from regsep.errors import BudgetExceededError, InputError
+from regsep.generators import last_letter_pair, random_net_pair
 from regsep.ideals import (
     OMEGA,
     DownSet,
     UpSet,
     canonicalize_down,
     canonicalize_up,
+    check_marking,
+    check_omega_marking,
     complement_upset,
     ideal_fire,
     intersect_ideals,
@@ -29,6 +33,7 @@ from regsep.petri import identity_labeled, label_expand, product
 from .oracles import (
     all_markings,
     fold_complement_upset,
+    naive_canonicalize_down,
     naive_member_down,
     naive_member_up,
     random_upset,
@@ -51,7 +56,7 @@ def upsets(draw):
 
 
 def canonical_key(u):
-    return tuple((1, 0) if c is W else (0, c) for c in u)
+    return tuple((1, 0) if c == W else (0, c) for c in u)
 
 
 both_complements = pytest.mark.parametrize(
@@ -192,7 +197,48 @@ class TestComplementAgainstFold:
             assert complement_upset(basis) == fold_complement_upset(basis)
 
 
+class TestComplementBudget:
+    def test_raises_past_node_budget(self):
+        basis = prestar_basis(product(*last_letter_pair(2))).basis
+        d, vectors = basis.dimension, basis.basis
+        # after i basis vectors the complement holds the maximal ideals of
+        # the complement of the first i cones
+        held = [len(complement_upset(UpSet(d, vectors[:i])).ideals) for i in range(1, len(vectors) + 1)]
+        n = max(held)
+        assert n > held[-1]  # the budget bounds what is held on the way, not the result
+        # exactly the ideals it holds is enough; one fewer is not
+        assert complement_upset(basis, Settings(node_budget=n)) == complement_upset(basis)
+        message = (
+            rf"complement held {n} ideals, over the budget of {n - 1}, "
+            rf"after {held.index(n) + 1} of {len(vectors)} basis vectors"
+        )
+        with pytest.raises(BudgetExceededError, match=message):
+            complement_upset(basis, Settings(node_budget=n - 1))
+
+
+class TestInputChecks:
+    """OMEGA is a float; no other float may pass for a coordinate."""
+
+    def test_marking_rejects_omega(self):
+        with pytest.raises(InputError):
+            check_marking((0, math.inf))
+
+    @pytest.mark.parametrize("c", [1.5, -math.inf, math.nan, True])
+    def test_omega_marking_rejects_non_naturals(self, c):
+        with pytest.raises(InputError):
+            check_omega_marking((0, c))
+
+    def test_omega_marking_accepts_every_omega(self):
+        # arithmetic on OMEGA makes new float objects that equal it
+        check_omega_marking((OMEGA + 3, OMEGA - 1, math.inf, 0))
+
+
 class TestCanonicalize:
+    @given(st.lists(omega_vectors(3), max_size=12))
+    @settings(max_examples=100)
+    def test_down_matches_pairwise_scan(self, ideals):
+        assert canonicalize_down(3, ideals) == naive_canonicalize_down(3, ideals)
+
     def test_down_examples(self):
         assert set(canonicalize_down(2, [(0, W), (0, 0), (1, 1)]).ideals) == {
             (0, W),
@@ -272,7 +318,7 @@ class TestIdealFire:
                 m
                 for m in all_markings(d, cap)
                 if all(
-                    True if c is W else x <= c for x, c in zip(m, u)
+                    True if c == W else x <= c for x, c in zip(m, u)
                 )
             ]
             fired = [
@@ -286,9 +332,9 @@ class TestIdealFire:
             assert fired
             for m2 in fired:
                 assert all(
-                    True if c is W else x <= c for x, c in zip(m2, succ)
+                    True if c == W else x <= c for x, c in zip(m2, succ)
                 )
             # every finite coordinate of succ below cap is attained
             for i, c in enumerate(succ):
-                if c is not W and c <= cap - 2:
+                if c != W and c <= cap - 2:
                     assert any(m2[i] == c for m2 in fired)

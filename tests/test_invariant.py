@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from regsep.backward import prestar_basis
-from regsep.errors import InputError
+from regsep.config import Settings
+from regsep.errors import BudgetExceededError, InputError
+from regsep.generators import random_net_pair
 from regsep.ideals import OMEGA, DownSet, member_down, member_up
 from regsep.invariant import (
     BackwardBound,
@@ -20,6 +22,23 @@ from .conftest import make_worked_pair
 from .oracles import all_markings, naive_coord_leq
 
 W = OMEGA
+
+
+def brute_force_successors(prod, down):
+    """Fire every step on every ideal and scan all ideals for the ones
+    containing the successor."""
+    expected = {}
+    for u in down.ideals:
+        for t in prod.transitions:
+            if not all(naive_coord_leq(p, c) for p, c in zip(t.pre, u)):
+                continue
+            succ = tuple(
+                W if c == W else c - p + q for c, p, q in zip(u, t.pre, t.post)
+            )
+            expected[u, t.name] = [
+                r for r in down.ideals if all(map(naive_coord_leq, succ, r))
+            ]
+    return expected
 
 
 class TestInvariantFromBackward:
@@ -64,6 +83,14 @@ class TestInvariantFromBackward:
         cert = invariant_from_backward(prod, backward=backward)
         assert cert.source_basis == backward.basis
 
+    def test_complement_runs_within_the_node_budget(self):
+        # the saturation keeps 13 nodes; the complement holds up to 32 ideals
+        pair = random_net_pair(1)
+        prod = product(pair.n1, pair.n2)
+        assert len(invariant_from_backward(prod, Settings(node_budget=32)).down.ideals) == 32
+        with pytest.raises(BudgetExceededError, match="complement held 32 ideals"):
+            invariant_from_backward(prod, Settings(node_budget=31))
+
 
 class TestCheckInvariant:
     def test_constructed_invariant_passes(self):
@@ -100,23 +127,23 @@ class TestCheckInvariant:
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
         down = invariant_from_backward(prod).down
-        expected = {}
-        for u in down.ideals:
-            for t in prod.transitions:
-                if not all(naive_coord_leq(p, c) for p, c in zip(t.pre, u)):
-                    continue
-                succ = tuple(
-                    W if c is W else c - p + q for c, p, q in zip(u, t.pre, t.post)
-                )
-                expected[u, t.name] = [
-                    r for r in down.ideals if all(map(naive_coord_leq, succ, r))
-                ]
+        expected = brute_force_successors(prod, down)
         report = check_invariant(prod, down)
         assert report.successors == expected
         # (0,2) -> (1,1) -> (w,0), where the second net cannot step
         step = "(t_a,s_a)"
         assert expected == {((0, 2), step): [(1, 1)], ((1, 1), step): [(W, 0)]}
         assert "successors" not in repr(report)
+
+    def test_successors_match_brute_force_scan_on_a_large_invariant(self):
+        # 10 places, 681 ideals in 178 buckets
+        pair = random_net_pair(98, places=5, transitions=3, norm=3)
+        prod = product(pair.n1, pair.n2)
+        down = invariant_from_backward(prod).down
+        assert len(down.ideals) == 681
+        report = check_invariant(prod, down)
+        assert report.passed
+        assert report.successors == brute_force_successors(prod, down)
 
     def test_dimension_mismatch(self):
         n1, n2 = make_worked_pair()

@@ -8,13 +8,20 @@ from pathlib import Path
 import regsep
 
 
+def _modules(skip: tuple[str, ...] = ()) -> list[tuple[str, ast.Module]]:
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(Path(regsep.__file__).parent.glob("*.py"))
+        if path.name not in skip
+    ]
+
+
 def test_no_assert_statements():
     # `python -O` strips asserts, so runtime checks must raise explicitly
     found = []
-    for path in sorted(Path(regsep.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in _modules():
         found += [
-            f"{path.name}:{node.lineno}"
+            f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
@@ -29,18 +36,38 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
 def test_no_unused_imports():
     # `__init__.py` imports in order to re-export, so it is not scanned
     found = []
-    for path in sorted(Path(regsep.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in _modules(skip=("__init__.py",)):
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 found += [
-                    f"{path.name}:{node.lineno} {name}"
-                    for name in _bound_names(node)
-                    if name not in used
+                    f"{name}:{node.lineno} {bound}"
+                    for bound in _bound_names(node)
+                    if bound not in used
                 ]
+    assert found == []
+
+
+def _is_omega(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "OMEGA") or (
+        isinstance(node, ast.Attribute) and node.attr == "OMEGA"
+    )
+
+
+def test_no_identity_tests_against_omega():
+    # OMEGA is math.inf, and `OMEGA + 3` is a new float object, so
+    # `c is OMEGA` misses coordinates that arithmetic produced; use `==`
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            found += [
+                f"{name}:{node.lineno}"
+                for op, a, b in zip(node.ops, operands, operands[1:])
+                if isinstance(op, (ast.Is, ast.IsNot)) and (_is_omega(a) or _is_omega(b))
+            ]
     assert found == []

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsep.automata import Nfa
 from regsep.config import Settings
 from regsep.errors import BudgetExceededError, InputError
+from regsep.ideals import IdealAntichain
 from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
 from regsep.verify import bounded_language, image_words, verify_separator
 
-from .oracles import naive_language
+from .oracles import naive_language, naive_maximal
 
 
 def universal(alphabet: tuple[str, ...]) -> Nfa:
@@ -126,6 +129,12 @@ class TestBoundedLanguage:
             final=(3, 0),
         )
         assert set(bounded_language(net, 6)) == naive_language(net, 6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*([st.integers(0, 3)] * 3)), max_size=25))
+    def test_pruning_keeps_the_maximal_markings_first_seen_first(self, markings):
+        # the filter applied to the markings each word reaches
+        assert list(IdealAntichain(markings)) == naive_maximal(markings)
 
 
 class TestImageWords:
