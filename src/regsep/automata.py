@@ -86,36 +86,37 @@ def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
     table = a.successors()
     start = frozenset(a.initial)
     order: list[frozenset[str]] = [start]
-    seen = {start}
+    names = {start: _subset_name(start)}  # also the set of subsets seen
     edges: list[Edge] = []
     i = 0
     while i < len(order):
         subset = order[i]
+        name = names[subset]
         i += 1
         for letter in a.alphabet:
             target: set[str] = set()
-            for s in sorted(subset):
+            for s in subset:
                 target |= table.get((s, letter), set())
             tgt = frozenset(target)
-            if tgt not in seen:
-                seen.add(tgt)
+            if tgt not in names:
+                names[tgt] = _subset_name(tgt)
                 order.append(tgt)
                 if len(order) > settings.node_budget:
                     raise BudgetExceededError(
                         f"subset construction exceeded {settings.node_budget} subsets: "
                         f"reached {len(order)} after expanding {i}")
-            edges.append((_subset_name(subset), letter, _subset_name(tgt)))
+            edges.append((name, letter, names[tgt]))
     sink = frozenset()
-    if sink not in seen:
+    if sink not in names:
+        names[sink] = _subset_name(sink)
         order.append(sink)
-        edges.extend((_subset_name(sink), letter, _subset_name(sink)) for letter in a.alphabet)
-    finals = frozenset(_subset_name(s) for s in order if s & a.final)
+        edges.extend((names[sink], letter, names[sink]) for letter in a.alphabet)
     return Nfa(
-        states=tuple(_subset_name(s) for s in order),
+        states=tuple(names[s] for s in order),
         alphabet=a.alphabet,
         transitions=tuple(edges),
-        initial=frozenset({_subset_name(start)}),
-        final=finals,
+        initial=frozenset({names[start]}),
+        final=frozenset(names[s] for s in order if s & a.final),
     )
 
 

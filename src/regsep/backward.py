@@ -53,11 +53,17 @@ def saturate(
     t offers v's minimal t-predecessor to the antichain of every state in
     `back[q, label of t]`.  Returns the antichain per state, the map from each
     kept node to the (transition, node) pair that generated it (None at a
-    root), and the number of nodes expanded."""
+    root), and the number of nodes expanded.
+
+    An offer made before is answered from memory: a kept one is a key of
+    `parents`, a rejected one is in `refused`.  Either way `add` would now
+    refuse it, because elements leave an antichain only when `add` evicts
+    them for a smaller one, never through `drop`."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
         chains[q].add(net.final)
+    refused: set = set()
     queue = deque(parents)
     iterations = 0
     while queue:
@@ -71,10 +77,14 @@ def saturate(
                 continue
             m = _pred(v, t.pre, t.post)
             for s in targets:
+                offer = s, m
+                if offer in parents or offer in refused:
+                    continue  # offered before
                 if not chains[s].add(m):
-                    continue  # dominated by an incumbent
-                parents.setdefault((s, m), (t.name, node))
-                queue.append((s, m))
+                    refused.add(offer)  # dominated by an incumbent
+                    continue
+                parents[offer] = t.name, node
+                queue.append(offer)
                 if len(parents) > settings.node_budget:
                     raise BudgetExceededError(
                         f"saturation kept over {settings.node_budget} nodes: {iterations} "

@@ -1,10 +1,12 @@
-"""Shared fixtures: the worked example pair and the random disjoint corpus."""
+"""Shared fixtures: the worked example pair, the last-letter candidate NFAs
+and the random disjoint corpus."""
 
 from __future__ import annotations
 
 import pytest
 
-from regsep.generators import random_net_pair
+from regsep.automata import Nfa
+from regsep.generators import LAST_LETTER_ALPHABET, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
 
@@ -26,6 +28,22 @@ def make_worked_pair() -> tuple[LabeledPetriNet, LabeledPetriNet]:
         final=(1,),
     )
     return n1, n2
+
+
+def candidate_nfa(k: int, bit: int) -> Nfa:
+    """NFA for c{0,1}*<bit>{0,1}^(k-1)c over the last-letter alphabet."""
+    states = ("s0", "s1") + tuple(f"q{i}" for i in range(1, k + 1)) + ("f",)
+    edges = [("s0", "c", "s1"), ("s1", "0", "s1"), ("s1", "1", "s1"), ("s1", str(bit), "q1")]
+    for i in range(1, k):
+        edges += [(f"q{i}", "0", f"q{i + 1}"), (f"q{i}", "1", f"q{i + 1}")]
+    edges.append((f"q{k}", "c", "f"))
+    return Nfa(
+        states=states,
+        alphabet=LAST_LETTER_ALPHABET,
+        transitions=tuple(edges),
+        initial=frozenset({"s0"}),
+        final=frozenset({"f"}),
+    )
 
 
 @pytest.fixture(scope="session")

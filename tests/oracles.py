@@ -275,13 +275,13 @@ def list_prestar_basis(net: LabeledPetriNet) -> BackwardResult:
     )
 
 
-def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict]:
+def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict, int]:
     """Backward saturation of net x automaton with one list per state.
 
-    Returns the per-state lists of minimal markings and the parents map
-    over (state, marking) nodes.  This is the original loop of
-    `regsep.automata.net_automaton_intersection_witness`, kept as its
-    reference.
+    Returns the per-state lists of minimal markings, the parents map over
+    (state, marking) nodes and the number of nodes expanded.  This is the
+    original loop of `regsep.automata.net_automaton_intersection_witness`,
+    kept as its reference.
     """
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:
@@ -293,10 +293,12 @@ def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict]:
         (qf, net.final): None for qf in roots
     }
     queue: deque[Node] = deque((qf, net.final) for qf in roots)
+    iterations = 0
     while queue:
         q, v = queue.popleft()
         if v not in basis.get(q, ()):
             continue  # evicted while waiting
+        iterations += 1
         for t in net.transitions:
             sources = back.get((q, t.label))
             if not sources:
@@ -313,13 +315,13 @@ def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict]:
                 ] + [m]
                 parents.setdefault((s, m), (t.name, (q, v)))
                 queue.append((s, m))
-    return basis, parents
+    return basis, parents, iterations
 
 
 def list_intersection_witness(net: LabeledPetriNet, a, saturation=None) -> Word | None:
     """A word in L(net) and L(a), or None, read off `saturation`, the result
     of `list_intersection_saturation(net, a)` (computed when not given)."""
-    basis, parents = saturation or list_intersection_saturation(net, a)
+    basis, parents, _ = saturation or list_intersection_saturation(net, a)
     for q0 in sorted(a.initial):
         for b in basis.get(q0, ()):
             if all(x <= y for x, y in zip(b, net.initial)):

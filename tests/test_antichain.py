@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from regsep.automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import prestar_basis, saturate
-from regsep.generators import LAST_LETTER_ALPHABET, last_letter_net, last_letter_pair, random_net_pair
+from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA, Antichain, DownSet, IdealAntichain, UpSet, complement_upset
 from regsep.petri import identity_labeled, label_expand, product
 
+from .conftest import candidate_nfa
 from .oracles import (
     list_intersection_saturation,
     list_intersection_witness,
@@ -192,22 +193,6 @@ class TestIdealAntichain:
         assert_buckets_consistent(chain)
 
 
-def candidate_nfa(k: int, bit: int) -> Nfa:
-    """NFA for c{0,1}*<bit>{0,1}^(k-1)c over the last-letter alphabet."""
-    states = ("s0", "s1") + tuple(f"q{i}" for i in range(1, k + 1)) + ("f",)
-    edges = [("s0", "c", "s1"), ("s1", "0", "s1"), ("s1", "1", "s1"), ("s1", str(bit), "q1")]
-    for i in range(1, k):
-        edges += [(f"q{i}", "0", f"q{i + 1}"), (f"q{i}", "1", f"q{i + 1}")]
-    edges.append((f"q{k}", "c", "f"))
-    return Nfa(
-        states=states,
-        alphabet=LAST_LETTER_ALPHABET,
-        transitions=tuple(edges),
-        initial=frozenset({"s0"}),
-        final=frozenset({"f"}),
-    )
-
-
 def _back(a: Nfa) -> dict:
     """(state, letter) -> the states with an edge on that letter into it."""
     back: dict = {}
@@ -240,6 +225,20 @@ def assert_same_backward(net):
     return got
 
 
+def assert_same_saturation(net, aut: Nfa):
+    """`saturate` on net x aut equals the list oracle: per-state antichains
+    in element order, the parents map in key order and the number of nodes
+    expanded.  Returns the oracle's result."""
+    chains, parents, iterations = saturate(net, sorted(aut.final), _back(aut))
+    want = want_basis, want_parents, want_iterations = list_intersection_saturation(net, aut)
+    assert {q: list(c) for q, c in chains.items() if c} == {
+        q: b for q, b in want_basis.items() if b
+    }
+    assert list(parents.items()) == list(want_parents.items())
+    assert iterations == want_iterations
+    return want
+
+
 class TestEngineAgainstListLoops:
     def test_random_products(self):
         coverable = [assert_same_backward(net).coverable for net in random_products()]
@@ -259,14 +258,9 @@ class TestEngineAgainstListLoops:
         for bit in (0, 1):
             dfa = minimize(determinize(candidate_nfa(k, bit)))
             for net, aut in ((n0, dfa), (n1, complement(dfa))):
-                chains, parents, _ = saturate(net, sorted(aut.final), _back(aut))
-                want_basis, want_parents = list_intersection_saturation(net, aut)
-                assert {q: list(c) for q, c in chains.items() if c} == {
-                    q: b for q, b in want_basis.items() if b
-                }
-                assert list(parents.items()) == list(want_parents.items())
+                want = assert_same_saturation(net, aut)
                 word = net_automaton_intersection_witness(net, aut)
-                assert word == list_intersection_witness(net, aut, (want_basis, want_parents))
+                assert word == list_intersection_witness(net, aut, want)
                 words.append(word)
         # the bit-1 candidate is exact; the bit-0 one meets n0 and misses n1
         zeros, ones = ("0",) * k, ("1",) * k
@@ -283,3 +277,15 @@ class TestEngineAgainstListLoops:
             found += word is not None
         assert 0 < found < 200
 
+    def test_random_automata_full_saturation(self):
+        """The pairs of `test_random_automata`, compared on the whole
+        saturation: per-state antichains in element order, the parents map
+        in key order, and the number of nodes expanded."""
+        rng = random.Random(7)
+        multi_target = 0
+        for seed in range(200):
+            net = random_net_pair(seed).n1
+            a = random_nfa(rng, rng.randint(2, 5), net.alphabet)
+            multi_target += any(len(sources) > 1 for sources in _back(a).values())
+            assert_same_saturation(net, a)
+        assert multi_target > 100

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from regsep import backward
 from regsep.automata import determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import (
     coverability_witness,
@@ -18,12 +19,12 @@ from regsep.backward import (
 from regsep.config import Settings
 from regsep.errors import BudgetExceededError, InputError
 from regsep.generators import last_letter_pair, random_net_pair
-from regsep.ideals import UpSet, member_up
+from regsep.ideals import Antichain, UpSet, member_up
 from regsep.petri import LabeledPetriNet, Transition, product
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import make_worked_pair
+from .conftest import candidate_nfa, make_worked_pair
 from .oracles import brute_pred_basis, forward_coverable, naive_language
 
 
@@ -229,3 +230,32 @@ class TestWitness:
         parents = {("q", (0,)): ("t", ("r", (1,))), ("r", (1,)): None}
         with pytest.raises(RuntimeError, match="covering the final"):
             replay_chain(net, parents, ("q", (0,)))
+
+
+def test_each_offer_reaches_the_antichain_once(monkeypatch):
+    """Saturation answers a repeated (state, marking) offer from its own
+    record, so no antichain is asked to add the same marking twice."""
+    offers: list[tuple[int, tuple]] = []
+    alive: list[Antichain] = []  # keeps ids unique within a run
+
+    class CountingAntichain(Antichain):
+        def __init__(self, *args):
+            alive.append(self)
+            super().__init__(*args)
+
+        def add(self, m):
+            offers.append((id(self), m))
+            return super().add(m)
+
+    monkeypatch.setattr(backward, "Antichain", CountingAntichain)
+    n0, n1 = last_letter_pair(5)
+    runs = [
+        lambda: prestar_basis(product(*last_letter_pair(3))).coverable,
+        lambda: verify_separator(n0, n1, candidate_nfa(5, 0)).passed,
+    ]
+    for run in runs:
+        offers.clear()
+        alive.clear()
+        assert not run()
+        assert len(offers) > 100
+        assert len(set(offers)) == len(offers)

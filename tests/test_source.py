@@ -71,3 +71,20 @@ def test_no_identity_tests_against_omega():
                 if isinstance(op, (ast.Is, ast.IsNot)) and (_is_omega(a) or _is_omega(b))
             ]
     assert found == []
+
+
+def test_saturation_never_drops_from_an_antichain():
+    # `backward.saturate` answers a repeated offer from memory, which is
+    # exact only while `add`'s eviction is the one way an element leaves
+    found = []
+    for name, tree in _modules():
+        if name not in ("backward.py", "automata.py"):
+            continue
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "drop"
+        ]
+    assert found == []
