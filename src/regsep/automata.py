@@ -164,7 +164,8 @@ def relabel(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
 
 def widen_alphabet(a: Nfa, letters: Iterable[str]) -> Nfa:
     """Extend the declared alphabet (no transitions added for new letters)."""
-    extra = tuple(x for x in letters if x not in set(a.alphabet))
+    known = set(a.alphabet)
+    extra = tuple(x for x in letters if x not in known)
     if not extra:
         return a
     return Nfa(
@@ -217,21 +218,20 @@ def minimize(d: Nfa) -> Nfa:
             break
         block = new_block
     # canonical names in BFS order over blocks
-    rep_order: list[int] = []
-    queue = [block[start]]
+    rep_order: list[int] = [block[start]]
     seen_blocks = {block[start]}
     rep_of = {}
     for s in reachable:
         rep_of.setdefault(block[s], s)
-    while queue:
-        b = queue.pop(0)
-        rep_order.append(b)
-        s = rep_of[b]
+    i = 0
+    while i < len(rep_order):
+        s = rep_of[rep_order[i]]
+        i += 1
         for a in d.alphabet:
             nb = block[table[(s, a)]]
             if nb not in seen_blocks:
                 seen_blocks.add(nb)
-                queue.append(nb)
+                rep_order.append(nb)
     name = {b: f"m{i}" for i, b in enumerate(rep_order)}
     edges = tuple(
         (name[b], a, name[block[table[(rep_of[b], a)]]])

@@ -53,7 +53,9 @@ def saturate(
     t offers v's minimal t-predecessor to the antichain of every state in
     `back[q, label of t]`.  Returns the antichain per state, the map from each
     kept node to the (transition, node) pair that generated it (None at a
-    root), and the number of nodes expanded.
+    root), and the number of nodes expanded.  Each saturation computes a
+    marking's predecessors once and keeps one move list per control state;
+    transitions with the same pre and post vectors share one predecessor.
 
     An offer made before is answered from memory: a kept one is a key of
     `parents`, a rejected one is in `refused`.  Either way `add` would now
@@ -64,6 +66,11 @@ def saturate(
     for q in roots:
         chains[q].add(net.final)
     refused: set = set()
+    slots: dict = {}  # (pre, post) -> its index in a row of `preds`
+    for t in net.transitions:
+        slots.setdefault((t.pre, t.post), len(slots))
+    moves: dict = {}  # state -> (slot, transition, targets), nonempty targets only
+    preds: dict[Marking, list] = {}  # marking -> its predecessor per slot, once computed
     queue = deque(parents)
     iterations = 0
     while queue:
@@ -71,11 +78,18 @@ def saturate(
         if v not in chains[q]:
             continue  # evicted while waiting
         iterations += 1
-        for t in net.transitions:
-            targets = back.get((q, t.label))
-            if not targets:
-                continue
-            m = _pred(v, t.pre, t.post)
+        steps = moves.get(q)
+        if steps is None:
+            steps = moves[q] = [
+                (slots[t.pre, t.post], t, targets)
+                for t in net.transitions
+                if (targets := back.get((q, t.label)))
+            ]
+        row = preds.get(v) or preds.setdefault(v, [None] * len(slots))
+        for i, t, targets in steps:
+            m = row[i]
+            if m is None:
+                m = row[i] = _pred(v, t.pre, t.post)
             for s in targets:
                 offer = s, m
                 if offer in parents or offer in refused:

@@ -151,10 +151,14 @@ class Antichain(dict):
         order, mask = self.le, self._mask(m)
         above = []
         for key, bucket in self._buckets.items():
-            if not key & ~mask and any(all(map(order, b, m)) for b in bucket):
-                return False
+            if not key & ~mask:
+                for b in bucket:
+                    if all(map(order, b, m)):
+                        return False
             if key & mask == mask:
-                above += [b for b in bucket if all(map(order, m, b))]
+                for b in bucket:
+                    if all(map(order, m, b)):
+                        above.append(b)
         for b in above:
             self.drop(b)
         self[m] = mask

@@ -106,7 +106,8 @@ def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
     else:
         places1, places2 = n1.places, n2.places
     places = places1 + places2
-    alphabet = n1.alphabet + tuple(a for a in n2.alphabet if a not in set(n1.alphabet))
+    known = set(n1.alphabet)
+    alphabet = n1.alphabet + tuple(a for a in n2.alphabet if a not in known)
     transitions = []
     for t1 in n1.transitions:
         for t2 in n2.transitions:

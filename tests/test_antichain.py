@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from regsep.automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import prestar_basis, saturate
-from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
+from regsep.generators import LAST_LETTER_ALPHABET, last_letter_net, last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA, Antichain, DownSet, IdealAntichain, UpSet, complement_upset
 from regsep.petri import identity_labeled, label_expand, product
 
@@ -265,6 +265,24 @@ class TestEngineAgainstListLoops:
         # the bit-1 candidate is exact; the bit-0 one meets n0 and misses n1
         zeros, ones = ("0",) * k, ("1",) * k
         assert words == [("c", *zeros, "c"), ("c", *ones, "c"), None, None]
+
+    def test_states_and_transitions_without_moves(self):
+        """Empty and partial move lists: in the first automaton "i" has no
+        incoming edge and "y" only one on "b", which labels no transition;
+        in the second no edge carries the label "1" of three transitions."""
+        net = last_letter_net(0, 3)
+
+        def nfa(*edges):
+            return Nfa(("i", "a", "y", "f"), LAST_LETTER_ALPHABET, edges, frozenset("i"), frozenset("f"))
+
+        no_incoming = nfa(
+            ("i", "c", "a"), ("a", "0", "a"), ("a", "1", "a"), ("a", "b", "y"),
+            ("a", "c", "f"), ("y", "c", "f"),
+        )
+        no_edge_on_1 = nfa(("i", "c", "a"), ("a", "0", "a"), ("a", "c", "f"), ("y", "0", "a"))
+        for aut in (no_incoming, no_edge_on_1):
+            _, parents, _ = assert_same_saturation(net, aut)
+            assert {q for q, _ in parents} == {"i", "a", "y", "f"}  # nodes kept where no move leads on
 
     def test_random_automata(self):
         rng = random.Random(7)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from regsep import backward
+from regsep import automata, backward
 from regsep.automata import determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import (
     coverability_witness,
@@ -259,3 +259,30 @@ def test_each_offer_reaches_the_antichain_once(monkeypatch):
         assert not run()
         assert len(offers) > 100
         assert len(set(offers)) == len(offers)
+
+
+def test_each_predecessor_is_computed_once(monkeypatch):
+    """Saturation keeps the predecessors of each marking it expands, so no
+    (marking, pre, post) triple is computed twice within one saturation,
+    even when the marking is expanded at several automaton states or two
+    transitions share their pre and post vectors."""
+    runs: list[list[tuple]] = []  # the _pred calls of each saturation
+    pred, saturate = backward._pred, backward.saturate
+
+    def counting_pred(v, pre, post):
+        runs[-1].append((v, pre, post))
+        return pred(v, pre, post)
+
+    def counting_saturate(*args):
+        runs.append([])
+        return saturate(*args)
+
+    monkeypatch.setattr(backward, "_pred", counting_pred)
+    monkeypatch.setattr(backward, "saturate", counting_saturate)
+    monkeypatch.setattr(automata, "saturate", counting_saturate)
+    n0, n1 = last_letter_pair(5)
+    assert not prestar_basis(product(*last_letter_pair(3))).coverable
+    assert not verify_separator(n0, n1, candidate_nfa(5, 0)).passed
+    assert len(runs) == 3 and all(len(calls) > 50 for calls in runs)
+    for calls in runs:
+        assert len(set(calls)) == len(calls)
