@@ -8,13 +8,13 @@ so serialized artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .backward import replay_chain, saturate
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
-from .ideals import OmegaMarking
+from .ideals import OmegaMarking, omega_leq
 from .petri import LabeledPetriNet
 
 Edge = tuple[str, str, str]
@@ -121,27 +121,19 @@ def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
 
 
 def is_complete_dfa(a: Nfa) -> bool:
-    if len(a.initial) != 1:
-        return False
-    table = a.successors()
-    return all(
-        len(table.get((s, letter), ())) == 1 for s in a.states for letter in a.alphabet
-    )
+    """One initial state and exactly one edge per (state, letter) pair.
+    `Nfa` already rejects undeclared states and letters and duplicate
+    edges, so it is enough that the distinct pairs number as many as the
+    edges and as |states|·|alphabet|."""
+    distinct = len({(s, letter) for s, letter, _ in a.transitions})
+    return len(a.initial) == 1 and distinct == len(a.transitions) == len(a.states) * len(a.alphabet)
 
 
 def complement(d: Nfa) -> Nfa:
     """Flip the final set; requires a complete DFA."""
     if not is_complete_dfa(d):
         raise InputError("complement requires a complete deterministic automaton")
-    return Nfa(
-        states=d.states,
-        alphabet=d.alphabet,
-        transitions=d.transitions,
-        initial=d.initial,
-        final=frozenset(d.states) - d.final,
-        annotations=d.annotations,
-        annotation_places=d.annotation_places,
-    )
+    return replace(d, final=frozenset(d.states) - d.final)
 
 
 def relabel(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
@@ -151,15 +143,7 @@ def relabel(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
         raise InputError(f"relabel map misses letters: {missing}")
     alphabet = tuple(sorted({mapping[x] for x in a.alphabet}))
     edges = tuple(sorted({(s, mapping[x], r) for s, x, r in a.transitions}))
-    return Nfa(
-        states=a.states,
-        alphabet=alphabet,
-        transitions=edges,
-        initial=a.initial,
-        final=a.final,
-        annotations=a.annotations,
-        annotation_places=a.annotation_places,
-    )
+    return replace(a, alphabet=alphabet, transitions=edges)
 
 
 def widen_alphabet(a: Nfa, letters: Iterable[str]) -> Nfa:
@@ -168,15 +152,7 @@ def widen_alphabet(a: Nfa, letters: Iterable[str]) -> Nfa:
     extra = tuple(x for x in letters if x not in known)
     if not extra:
         return a
-    return Nfa(
-        states=a.states,
-        alphabet=a.alphabet + tuple(sorted(extra)),
-        transitions=a.transitions,
-        initial=a.initial,
-        final=a.final,
-        annotations=a.annotations,
-        annotation_places=a.annotation_places,
-    )
+    return replace(a, alphabet=a.alphabet + tuple(sorted(extra)))
 
 
 def minimize(d: Nfa) -> Nfa:
@@ -184,11 +160,15 @@ def minimize(d: Nfa) -> Nfa:
 
     Unreachable states are dropped first; states are renamed m0, m1, ... in
     breadth-first order from the initial state, making the result canonical
-    and minimization idempotent.
+    and minimization idempotent.  Refinement numbers the blocks by their
+    first state in the breadth-first state order, which is the quotient's
+    own breadth-first order: blocks are a congruence, so a state's
+    successors lie in the same blocks as those of its block's first state,
+    which was expanded before it, and only first states find new blocks.
     """
     if not is_complete_dfa(d):
         raise InputError("minimize requires a complete deterministic automaton")
-    table = {(s, a): next(iter(ts)) for (s, a), ts in d.successors().items()}
+    table = {(s, a): r for s, a, r in d.transitions}
     (start,) = d.initial
     reachable: list[str] = [start]
     seen = {start}
@@ -217,34 +197,18 @@ def minimize(d: Nfa) -> Nfa:
         if new_block == block:
             break
         block = new_block
-    # canonical names in BFS order over blocks
-    rep_order: list[int] = [block[start]]
-    seen_blocks = {block[start]}
-    rep_of = {}
+    # the last pass numbered the blocks in the order of their first states
+    firsts: dict[int, str] = {}
     for s in reachable:
-        rep_of.setdefault(block[s], s)
-    i = 0
-    while i < len(rep_order):
-        s = rep_of[rep_order[i]]
-        i += 1
-        for a in d.alphabet:
-            nb = block[table[(s, a)]]
-            if nb not in seen_blocks:
-                seen_blocks.add(nb)
-                rep_order.append(nb)
-    name = {b: f"m{i}" for i, b in enumerate(rep_order)}
-    edges = tuple(
-        (name[b], a, name[block[table[(rep_of[b], a)]]])
-        for b in rep_order
-        for a in d.alphabet
-    )
-    finals = frozenset(name[b] for b in rep_order if rep_of[b] in d.final)
+        firsts.setdefault(block[s], s)
     return Nfa(
-        states=tuple(name[b] for b in rep_order),
+        states=tuple(f"m{b}" for b in firsts),
         alphabet=d.alphabet,
-        transitions=edges,
-        initial=frozenset({name[block[start]]}),
-        final=finals,
+        transitions=tuple(
+            (f"m{b}", a, f"m{block[table[(s, a)]]}") for b, s in firsts.items() for a in d.alphabet
+        ),
+        initial=frozenset({"m0"}),
+        final=frozenset(f"m{b}" for b, s in firsts.items() if s in d.final),
     )
 
 
@@ -266,7 +230,7 @@ def net_automaton_intersection_witness(
     chains, parents, _ = saturate(net, sorted(a.final), back, settings)
     for q0 in sorted(a.initial):
         for b in chains.get(q0, ()):
-            if all(x <= y for x, y in zip(b, net.initial)):
+            if omega_leq(b, net.initial):
                 return replay_chain(net, parents, (q0, b))
     return None
 

@@ -14,7 +14,7 @@ from typing import Hashable, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
-from .ideals import Antichain, Marking, UpSet, check_marking, member_up
+from .ideals import Antichain, Marking, UpSet, check_marking, member_up, omega_leq
 from .petri import LabeledPetriNet, covers, fire, product
 
 # maps each discovered basis vector to the (transition, target vector) pair
@@ -171,5 +171,5 @@ def coverability_witness(
         result = prestar_basis(net)
     if not result.coverable:
         return None
-    start = next(b for b in result.basis.basis if all(x <= y for x, y in zip(b, net.initial)))
+    start = next(b for b in result.basis.basis if omega_leq(b, net.initial))
     return replay_chain(net, result.parents, start)

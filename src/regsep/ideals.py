@@ -219,7 +219,7 @@ def canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet
 def member_up(m: Marking, u: UpSet) -> bool:
     """True iff some basis vector is dominated by `m`."""
     check_marking(m, u.dimension)
-    return any(all(b <= x for b, x in zip(base, m)) for base in u.basis)
+    return any(omega_leq(base, m) for base in u.basis)
 
 
 def member_down(m: Marking, x: DownSet) -> bool:

@@ -6,10 +6,10 @@ covers the final marking componentwise.  Epsilon labels are not allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError
-from .ideals import Marking, check_marking
+from .ideals import Marking, check_marking, ideal_fire, omega_leq
 
 
 def ceil_log2(x: int) -> int:
@@ -80,18 +80,14 @@ class NetSizeReport:
 
 def covers(m: Marking, mf: Marking) -> bool:
     """Componentwise m >= mf."""
-    if len(m) != len(mf):
-        raise InputError(f"dimension mismatch: {len(m)} vs {len(mf)}")
-    return all(x >= y for x, y in zip(m, mf))
+    return omega_leq(mf, m)
 
 
 def fire(net: LabeledPetriNet, m: Marking, t: str) -> Marking | None:
     """Fire transition `t` at `m`; None when disabled."""
     check_marking(m, net.dimension)
     tr = net.transition(t)
-    if not all(x >= p for x, p in zip(m, tr.pre)):
-        return None
-    return tuple(x - p + q for x, p, q in zip(m, tr.pre, tr.post))
+    return ideal_fire(m, tr.pre, tr.post)
 
 
 def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
@@ -132,15 +128,10 @@ def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
 
 def identity_labeled(n: LabeledPetriNet) -> LabeledPetriNet:
     """Relabel every transition by its own name; the alphabet becomes the name list."""
-    return LabeledPetriNet(
-        places=n.places,
+    return replace(
+        n,
         alphabet=tuple(t.name for t in n.transitions),
-        transitions=tuple(
-            Transition(name=t.name, label=t.name, pre=t.pre, post=t.post)
-            for t in n.transitions
-        ),
-        initial=n.initial,
-        final=n.final,
+        transitions=tuple(replace(t, label=t.name) for t in n.transitions),
     )
 
 
@@ -151,20 +142,15 @@ def label_expand(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
     with the same label, emit a copy of t1 named "t1^t" and labeled t.  The
     resulting net is over the alphabet of n2's transition names.
     """
-    transitions = []
-    for t1 in n1.transitions:
-        for t in n2.transitions:
-            if t1.label != t.label:
-                continue
-            transitions.append(
-                Transition(name=f"{t1.name}^{t.name}", label=t.name, pre=t1.pre, post=t1.post)
-            )
-    return LabeledPetriNet(
-        places=n1.places,
+    return replace(
+        n1,
         alphabet=tuple(t.name for t in n2.transitions),
-        transitions=tuple(transitions),
-        initial=n1.initial,
-        final=n1.final,
+        transitions=tuple(
+            replace(t1, name=f"{t1.name}^{t.name}", label=t.name)
+            for t1 in n1.transitions
+            for t in n2.transitions
+            if t1.label == t.label
+        ),
     )
 
 

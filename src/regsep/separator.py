@@ -20,7 +20,7 @@ import hashlib
 import logging
 from dataclasses import dataclass
 
-from .automata import Nfa, complement, determinize, relabel, widen_alphabet
+from .automata import Nfa, complement, determinize, minimize, relabel, widen_alphabet
 from .backward import prestar_basis
 from .config import DEFAULT, Settings
 from .errors import NotDisjointError
@@ -129,9 +129,9 @@ def separate(
         len(cert.down.ideals),
     )
     core = build_core_automaton(w, w_det, cert, prod)
-    dfa = determinize(core, settings)
+    dfa = minimize(determinize(core, settings))
     comp = complement(dfa)
-    log.info("core states %d, determinized states %d", len(core.states), len(dfa.states))
+    log.info("core states %d, minimal DFA states %d", len(core.states), len(dfa.states))
     sep = relabel(comp, {t.name: t.label for t in n2.transitions})
     sigma = tuple(dict.fromkeys(n1.alphabet + n2.alphabet))
     sep = widen_alphabet(sep, sigma)

@@ -8,7 +8,7 @@ from typing import Iterable
 from .automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
-from .ideals import IdealAntichain, Marking
+from .ideals import IdealAntichain, Marking, ideal_fire
 from .petri import LabeledPetriNet, covers
 
 Word = tuple[str, ...]
@@ -80,12 +80,7 @@ def bounded_language(
         nxt: dict[Word, list[Marking]] = {}
         for word, markings in frontier.items():
             for t in net.transitions:
-                reached = []
-                for m in markings:
-                    if all(x >= p for x, p in zip(m, t.pre)):
-                        reached.append(
-                            tuple(x - p + q for x, p, q in zip(m, t.pre, t.post))
-                        )
+                reached = [r for m in markings if (r := ideal_fire(m, t.pre, t.post)) is not None]
                 if not reached:
                     continue
                 key = word + (t.label,)

@@ -11,8 +11,9 @@ import random
 from collections import deque
 from typing import Iterable, Sequence
 
-from regsep.automata import Nfa
+from regsep.automata import Nfa, is_complete_dfa
 from regsep.backward import BackwardResult, pred_basis, replay_chain
+from regsep.errors import InputError
 from regsep.ideals import (
     OMEGA,
     Coord,
@@ -178,7 +179,7 @@ def all_words(alphabet: Sequence[str], maxlen: int) -> Iterable[Word]:
 
 def random_nfa(rng: random.Random, n_states: int = 5, alphabet: Sequence[str] = ("a", "b")):
     """A random automaton for differential testing."""
-    from regsep.automata import Nfa
+    from regsep.automata import Nfa, is_complete_dfa
 
     states = tuple(f"q{i}" for i in range(n_states))
     edges = set()
@@ -390,4 +391,77 @@ def fire_and_scan_core_automaton(
         final=frozenset(final),
         annotations=annotations,
         annotation_places=prod.places,
+    )
+
+
+def two_pass_minimize(d: Nfa) -> Nfa:
+    """Unique minimal complete DFA, by partition refinement.
+
+    Unreachable states are dropped first; states are renamed m0, m1, ... in
+    breadth-first order from the initial state, making the result canonical
+    and minimization idempotent.
+
+    This is the library's original algorithm, which walks the states
+    breadth-first and then the blocks a second time, kept as the reference
+    for `regsep.automata.minimize`.
+    """
+    if not is_complete_dfa(d):
+        raise InputError("minimize requires a complete deterministic automaton")
+    table = {(s, a): next(iter(ts)) for (s, a), ts in d.successors().items()}
+    (start,) = d.initial
+    reachable: list[str] = [start]
+    seen = {start}
+    i = 0
+    while i < len(reachable):
+        s = reachable[i]
+        i += 1
+        for a in d.alphabet:
+            r = table[(s, a)]
+            if r not in seen:
+                seen.add(r)
+                reachable.append(r)
+    block: dict[str, int] = {s: (1 if s in d.final else 0) for s in reachable}
+    while True:
+        signature = {
+            s: (block[s], tuple(block[table[(s, a)]] for a in d.alphabet))
+            for s in reachable
+        }
+        ids: dict[tuple, int] = {}
+        new_block: dict[str, int] = {}
+        for s in reachable:
+            sig = signature[s]
+            if sig not in ids:
+                ids[sig] = len(ids)
+            new_block[s] = ids[sig]
+        if new_block == block:
+            break
+        block = new_block
+    # canonical names in BFS order over blocks
+    rep_order: list[int] = [block[start]]
+    seen_blocks = {block[start]}
+    rep_of = {}
+    for s in reachable:
+        rep_of.setdefault(block[s], s)
+    i = 0
+    while i < len(rep_order):
+        s = rep_of[rep_order[i]]
+        i += 1
+        for a in d.alphabet:
+            nb = block[table[(s, a)]]
+            if nb not in seen_blocks:
+                seen_blocks.add(nb)
+                rep_order.append(nb)
+    name = {b: f"m{i}" for i, b in enumerate(rep_order)}
+    edges = tuple(
+        (name[b], a, name[block[table[(rep_of[b], a)]]])
+        for b in rep_order
+        for a in d.alphabet
+    )
+    finals = frozenset(name[b] for b in rep_order if rep_of[b] in d.final)
+    return Nfa(
+        states=tuple(name[b] for b in rep_order),
+        alphabet=d.alphabet,
+        transitions=edges,
+        initial=frozenset({name[block[start]]}),
+        final=finals,
     )

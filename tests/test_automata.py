@@ -26,8 +26,8 @@ from regsep.generators import last_letter_pair
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import make_worked_pair
-from .oracles import all_words, naive_language, nfa_words, random_nfa
+from .conftest import candidate_nfa, make_worked_pair
+from .oracles import all_words, naive_language, nfa_words, random_nfa, two_pass_minimize
 
 
 def simple_nfa() -> Nfa:
@@ -117,10 +117,11 @@ class TestDeterminizeBudget:
         assert seen == [roomy, roomy]
 
     def test_verification_raises_in_subset_construction(self):
-        n1, n2 = last_letter_pair(3)
-        separator = separate(n1, n2).separator
+        # the k=3 separator is minimal and never needs 50 subsets; this
+        # candidate's minimal DFA alone has 67 states
+        n1, n2 = last_letter_pair(6)
         with pytest.raises(BudgetExceededError, match="subset construction"):
-            verify_separator(n1, n2, separator, Settings(node_budget=50))
+            verify_separator(n1, n2, candidate_nfa(6, 1), Settings(node_budget=50))
 
 
 class TestComplement:
@@ -196,6 +197,31 @@ class TestMinimize:
         )
         d2 = minimize(determinize(padded))
         assert d1 == d2
+
+
+def _fields(d: Nfa) -> tuple:
+    return d.states, d.transitions, d.initial, d.final
+
+
+class TestMinimizeAgainstTwoPass:
+    """`minimize` names blocks in one BFS; the reference walks the blocks again."""
+
+    def test_random_determinized(self):
+        rng = random.Random(17)
+        unreachable_sinks = 0
+        for i in range(2000):
+            a = random_nfa(rng, n_states=rng.randint(2, 7), alphabet="abc"[: 1 + i % 3])
+            dfa = determinize(a)
+            # the subset construction appends the empty sink even when no edge enters it
+            unreachable_sinks += all(r != "{}" for s, _, r in dfa.transitions if s != "{}")
+            assert _fields(minimize(dfa)) == _fields(two_pass_minimize(dfa))
+        assert unreachable_sinks >= 500
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_last_letter_candidates(self, k, bit):
+        dfa = determinize(candidate_nfa(k, bit))
+        assert _fields(minimize(dfa)) == _fields(two_pass_minimize(dfa))
 
 
 class TestNetAutomatonEmpty:

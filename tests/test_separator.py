@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from regsep.automata import member
+from regsep.automata import complement, determinize, member, minimize, relabel, widen_alphabet
 from regsep.backward import prestar_basis
 from regsep.config import Settings
 from regsep.errors import NotDisjointError
@@ -164,6 +164,35 @@ class TestCoreAgainstFireAndScan:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_last_letter(self, k):
         self.assert_same_core(separate(*last_letter_pair(k)))
+
+
+class TestMinimalSeparator:
+    """`separate` minimizes the core's DFA before it complements and
+    relabels; the separator keeps the language that the unminimized DFA gave."""
+
+    @staticmethod
+    def assert_same_language(n1, n2, bundle):
+        labels = {t.name: t.label for t in n2.transitions}
+        unminimized = widen_alphabet(
+            relabel(complement(determinize(bundle.core)), labels),
+            tuple(dict.fromkeys(n1.alphabet + n2.alphabet)),
+        )
+        assert minimize(determinize(bundle.separator)) == minimize(determinize(unminimized))
+        assert minimize(bundle.complement_dfa) == bundle.complement_dfa
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_last_letter(self, k):
+        n1, n2 = last_letter_pair(k)
+        self.assert_same_language(n1, n2, separate(n1, n2))
+
+    def test_random_pairs(self):
+        compared = 0
+        for seed in range(100):
+            pair = random_net_pair(seed)
+            if pair.disjoint:
+                self.assert_same_language(pair.n1, pair.n2, separate(pair.n1, pair.n2))
+                compared += 1
+        assert compared >= 50
 
 
 class TestSeparate:

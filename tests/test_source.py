@@ -88,3 +88,19 @@ def test_saturation_never_drops_from_an_antichain():
             and node.func.attr == "drop"
         ]
     assert found == []
+
+
+def test_no_comprehension_over_zip():
+    # the componentwise order and the firing step live in `ideals.omega_leq`
+    # and `ideals.ideal_fire`; a comprehension over `zip` is a second copy
+    found = []
+    for name, tree in _modules():
+        found += [
+            f"{name}:{node.iter.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.comprehension)
+            and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name)
+            and node.iter.func.id == "zip"
+        ]
+    assert found == []
