@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .backward import replay_chain, saturate
+from .backward import PRUNE_AFTER, replay_chain, saturate
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
 from .ideals import OmegaMarking, omega_leq
@@ -223,11 +223,12 @@ def net_automaton_intersection_witness(
     state.  Saturation starts from every (final state, final marking) pair;
     a pair (initial state, m) with m below the initial marking witnesses a
     word in the intersection, replayed forward from the recorded chain.
+    The search is pruned by the net's forward cover (see `saturate`).
     """
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:
         back.setdefault((r, letter), []).append(s)
-    chains, parents, _ = saturate(net, sorted(a.final), back, settings)
+    chains, parents, _ = saturate(net, sorted(a.final), back, settings, PRUNE_AFTER)
     for q0 in sorted(a.initial):
         for b in chains.get(q0, ()):
             if omega_leq(b, net.initial):

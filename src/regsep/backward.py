@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add, le, sub
 from typing import Hashable, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
-from .ideals import Antichain, Marking, UpSet, check_marking, member_up, omega_leq
+from .ideals import OMEGA, Antichain, IdealAntichain, Marking, UpSet, check_marking, ideal_fire
+from .ideals import member_up, omega_leq
 from .petri import LabeledPetriNet, covers, fire, product
 
 # maps each discovered basis vector to the (transition, target vector) pair
@@ -42,11 +43,50 @@ def pred_basis(net: LabeledPetriNet, v: Marking, t: str) -> Marking:
     return _pred(v, tr.pre, tr.post)
 
 
+# kept nodes before a decision or witness search first computes the cover
+PRUNE_AFTER = 64
+
+
+def forward_cover(
+    net: LabeledPetriNet, settings: Settings = DEFAULT, limit: int | None = None
+) -> IdealAntichain | None:
+    """The maximal ideals of the downward closure of the reachable set, by a
+    FIFO Karp-Miller exploration (JCSS 1969): a successor above an ancestor
+    on its path gets OMEGA where it exceeds it, and one below a kept label
+    is a leaf.  Returns None once more than `limit` nodes are kept; raises
+    BudgetExceededError once more than `settings.node_budget` are."""
+    kept = IdealAntichain([net.initial])
+    queue = deque([(net.initial, None)])  # (label, parent node)
+    nodes = 1
+    while queue:
+        node = u, _ = queue.popleft()
+        if u not in kept:
+            continue  # evicted while waiting
+        for t in net.transitions:
+            if (y := ideal_fire(u, t.pre, t.post)) is None:
+                continue
+            up = node
+            while up is not None:
+                a, up = up
+                if all(map(le, a, y)):
+                    y = tuple(map(lambda x, z: z if x == z else OMEGA, a, y))
+            if kept.add(y):
+                nodes += 1
+                if nodes > settings.node_budget:
+                    raise BudgetExceededError(f"forward cover kept over {settings.node_budget} "
+                                              f"nodes, {len(kept)} maximal ideals so far")
+                if limit is not None and nodes > limit:
+                    return None
+                queue.append((y, node))
+    return kept
+
+
 def saturate(
     net: LabeledPetriNet,
     roots: Sequence[Hashable],
     back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
     settings: Settings = DEFAULT,
+    prune_after: int | None = None,
 ) -> tuple[defaultdict[Hashable, Antichain], dict, int]:
     """FIFO backward saturation over (control state, marking) nodes, from
     the final marking at every root state.  Expanding (q, v), each transition
@@ -60,11 +100,19 @@ def saturate(
     An offer made before is answered from memory: a kept one is a key of
     `parents`, a rejected one is in `refused`.  Either way `add` would now
     refuse it, because elements leave an antichain only when `add` evicts
-    them for a smaller one, never through `drop`."""
+    them for a smaller one, never through `drop`.
+
+    With `prune_after` n, once n nodes are kept the search computes
+    `forward_cover(net)`, limited to as many nodes (retried at four times as
+    many), and from then on offers no predecessor outside it.  This is exact
+    however late it starts: markings below a coverable one are coverable and
+    uncoverable ones have only uncoverable predecessors, so the coverable
+    nodes, their order and their parents are the unpruned run's."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
         chains[q].add(net.final)
+    cover = None
     refused: set = set()
     slots: dict = {}  # (pre, post) -> its index in a row of `preds`
     for t in net.transitions:
@@ -74,6 +122,9 @@ def saturate(
     queue = deque(parents)
     iterations = 0
     while queue:
+        if prune_after is not None and len(parents) >= prune_after:
+            cover = forward_cover(net, settings, len(parents))
+            prune_after = None if cover is not None else 4 * len(parents)
         node = q, v = queue.popleft()
         if v not in chains[q]:
             continue  # evicted while waiting
@@ -89,7 +140,10 @@ def saturate(
         for i, t, targets in steps:
             m = row[i]
             if m is None:
-                m = row[i] = _pred(v, t.pre, t.post)
+                m = _pred(v, t.pre, t.post)
+                m = row[i] = m if cover is None or any(omega_leq(m, u) for u in cover) else False
+            if m is False:
+                continue  # outside the cover
             for s in targets:
                 offer = s, m
                 if offer in parents or offer in refused:
@@ -108,7 +162,7 @@ def saturate(
 
 def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult:
     """Saturate the minimal basis of the markings that can cover the final
-    one: the one-state case of `saturate`."""
+    one: the one-state case of `saturate`, unpruned: the separator uses it."""
     back = {(None, t.label): (None,) for t in net.transitions}
     chains, parents, iterations = saturate(net, (None,), back, settings)
     basis = UpSet(net.dimension, tuple(sorted(chains[None])))
@@ -121,8 +175,11 @@ def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Backwar
 
 
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
-    """True iff some firing sequence from the initial marking covers the final one."""
-    return prestar_basis(net, settings).coverable
+    """True iff some firing sequence from the initial marking covers the final
+    one: the one-state case of `saturate`, pruned (see there)."""
+    back = {(None, t.label): (None,) for t in net.transitions}
+    chains, _, _ = saturate(net, (None,), back, settings, PRUNE_AFTER)
+    return any(omega_leq(b, net.initial) for b in chains[None])
 
 
 def disjoint(n1: LabeledPetriNet, n2: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:

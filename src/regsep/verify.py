@@ -32,7 +32,8 @@ def verify_separator(
     """Exactly check that L(n1) avoids L(b) and L(n2) is contained in L(b).
 
     Both checks reduce to coverability on a synchronized encoding; failures
-    come with a concrete witness word.
+    come with a concrete witness word.  Both witness searches are pruned by
+    the net's forward cover (see `backward.saturate`); `separate` is not.
     """
     sigma = set(n1.alphabet) | set(n2.alphabet)
     if set(b.alphabet) != sigma:

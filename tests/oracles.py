@@ -114,6 +114,34 @@ def forward_coverable(net: LabeledPetriNet, cap: int = 12) -> bool | None:
     return None if cap_hit else False
 
 
+def reachable_markings(net: LabeledPetriNet, depth: int | None = None, limit: int = 100_000) -> set[Marking]:
+    """Every marking reached in at most `depth` steps (any number when None),
+    breadth-first; raises RuntimeError past `limit` markings, since an
+    unbounded net has infinitely many."""
+    seen = {net.initial}
+    frontier = [net.initial]
+    steps = 0
+    while frontier and (depth is None or steps < depth):
+        steps += 1
+        nxt = []
+        for m in frontier:
+            for t in net.transitions:
+                m2 = naive_fire(net, m, t.name)
+                if m2 is not None and m2 not in seen:
+                    seen.add(m2)
+                    nxt.append(m2)
+        if len(seen) > limit:
+            raise RuntimeError(f"over {limit} reachable markings")
+        frontier = nxt
+    return seen
+
+
+def bfs_cover(net: LabeledPetriNet) -> list[Marking]:
+    """The maximal reachable markings of a bounded net, sorted: its
+    coverability set, by exhaustive breadth-first reachability."""
+    return sorted(naive_maximal(reachable_markings(net)))
+
+
 def naive_language(net: LabeledPetriNet, maxlen: int) -> set[Word]:
     """Accepted words up to maxlen by plain breadth-first run enumeration."""
     accepted: set[Word] = set()

@@ -25,7 +25,7 @@ from regsep.separator import separate
 from regsep.verify import verify_separator
 
 from .conftest import candidate_nfa, make_worked_pair
-from .oracles import brute_pred_basis, forward_coverable, naive_language
+from .oracles import brute_pred_basis, forward_coverable, naive_language, random_nfa
 
 
 def one_place_net(pre: int, post: int, m0: int, mf: int) -> LabeledPetriNet:
@@ -277,12 +277,16 @@ def test_each_predecessor_is_computed_once(monkeypatch):
         runs.append([])
         return saturate(*args)
 
+    # the forward cover prunes the witness searches, so the nets and the
+    # automaton are chosen for searches that still compute over 50
+    # predecessors each (the last-letter k=5 bit-0 candidate leaves 31 and 54)
+    pair = random_net_pair(31, places=4, transitions=5, norm=3)
+    aut = random_nfa(random.Random(3), 12, pair.n1.alphabet)
     monkeypatch.setattr(backward, "_pred", counting_pred)
     monkeypatch.setattr(backward, "saturate", counting_saturate)
     monkeypatch.setattr(automata, "saturate", counting_saturate)
-    n0, n1 = last_letter_pair(5)
     assert not prestar_basis(product(*last_letter_pair(3))).coverable
-    assert not verify_separator(n0, n1, candidate_nfa(5, 0)).passed
+    assert not verify_separator(pair.n1, pair.n2, aut).passed
     assert len(runs) == 3 and all(len(calls) > 50 for calls in runs)
     for calls in runs:
         assert len(set(calls)) == len(calls)

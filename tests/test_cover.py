@@ -1,0 +1,268 @@
+"""The forward Karp-Miller cover and the saturations it prunes.
+
+`forward_cover` is compared with exhaustive reachability on bounded nets
+and with bounded runs and the backward basis on unbounded ones.  Pruning a
+saturation by it, however late the pruning starts, must leave exactly the
+unpruned saturation restricted to the cover: per-state antichains in
+element order and the parents map in key order.  The cover a saturation
+computes is limited by the nodes the saturation keeps, so a net with a huge
+cover costs no more than its search.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from regsep import backward
+from regsep.automata import Nfa, complement, determinize, minimize
+from regsep.backward import PRUNE_AFTER, coverable, disjoint, forward_cover, prestar_basis, saturate
+from regsep.cli import EXIT_BUDGET_EXCEEDED, EXIT_OK, main
+from regsep.config import DEFAULT, Settings
+from regsep.errors import BudgetExceededError
+from regsep.fileio import save_net
+from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
+from regsep.ideals import OMEGA
+from regsep.petri import LabeledPetriNet, Transition, identity_labeled, label_expand, product
+from regsep.separator import separate
+from regsep.verify import verify_separator
+
+from .conftest import candidate_nfa
+from .oracles import bfs_cover, naive_member_down, random_nfa, reachable_markings
+from .test_antichain import _back, random_products
+
+
+def one_state_back(net) -> dict:
+    return {(None, t.label): (None,) for t in net.transitions}
+
+
+def assert_pruned_is_restriction(net, roots, back, prune_after=0) -> tuple[int, int]:
+    """`saturate` pruned after `prune_after` kept nodes and `saturate`
+    unpruned agree on the markings inside the cover.  Returns the kept nodes
+    of both."""
+    cover = forward_cover(net)
+
+    def inside(m):
+        return naive_member_down(m, cover)
+
+    def restricted(chains, parents):
+        kept = {q: [m for m in c if inside(m)] for q, c in chains.items()}
+        return {q: c for q, c in kept.items() if c}, [(n, p) for n, p in parents.items() if inside(n[1])]
+
+    chains, parents, _ = saturate(net, roots, back)
+    pruned_chains, pruned_parents, _ = saturate(net, roots, back, DEFAULT, prune_after)
+    assert restricted(pruned_chains, pruned_parents) == restricted(chains, parents)
+    return len(pruned_parents), len(parents)
+
+
+def random_automaton_pairs():
+    """The (net, automaton) pairs of `test_antichain`'s random automata tests."""
+    rng = random.Random(7)
+    for seed in range(200):
+        net = random_net_pair(seed).n1
+        yield net, random_nfa(rng, rng.randint(2, 5), net.alphabet)
+
+
+def candidate_searches(k: int):
+    """The two witness searches of verifying each last-letter candidate."""
+    n0, n1 = last_letter_pair(k)
+    for bit in (0, 1):
+        dfa = minimize(determinize(candidate_nfa(k, bit)))
+        yield n0, dfa
+        yield n1, complement(dfa)
+
+
+class TestPrunedSaturation:
+    def test_random_automata(self):
+        kept = [assert_pruned_is_restriction(net, sorted(a.final), _back(a))
+                for net, a in random_automaton_pairs()]
+        assert sum(p for p, _ in kept) < sum(u for _, u in kept)
+
+    def test_random_products(self):
+        kept = [assert_pruned_is_restriction(net, (None,), one_state_back(net))
+                for net in random_products()]
+        assert len(kept) == 240
+        assert sum(p for p, _ in kept) < sum(u for _, u in kept)
+
+    @pytest.mark.parametrize("prune_after", [0, 8, PRUNE_AFTER])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_last_letter_candidates(self, k, prune_after):
+        for net, aut in candidate_searches(k):
+            pruned, unpruned = assert_pruned_is_restriction(net, sorted(aut.final), _back(aut), prune_after)
+            assert pruned <= unpruned
+
+
+class TestForwardCover:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_last_letter_nets_against_reachability(self, k):
+        n0, n1 = last_letter_pair(k)
+        n = last_letter_net(0, k)
+        for net in (n0, n1, product(n0, n1), product(label_expand(n, n), identity_labeled(n))):
+            assert sorted(forward_cover(net)) == bfs_cover(net)
+
+    def test_bounded_random_nets_against_reachability(self):
+        # a net with at most 300 reachable markings is bounded; in some of
+        # them a reachable marking lies below another and is not in the cover
+        checked = below_another = 0
+        for seed in range(200):
+            pair = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
+            for net in (pair.n1, pair.n2):
+                try:
+                    reached = reachable_markings(net, limit=300)
+                except RuntimeError:
+                    continue
+                want = bfs_cover(net)
+                assert sorted(forward_cover(net)) == want
+                checked += 1
+                below_another += len(want) < len(reached)
+        assert checked > 200 and below_another > 20
+
+    def test_random_nets_cover_short_runs(self):
+        """Every marking reached in at most 6 steps lies below an ideal of
+        the cover, the sorted cover does not depend on the order of the
+        transitions, and every ideal of it, OMEGA read as 2, is coverable
+        by the unpruned backward basis: the cover is neither too small nor
+        too large."""
+        rng = random.Random(3)
+        accelerated = 0
+        for seed in range(200):
+            pair = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
+            for net in (pair.n1, pair.n2):
+                cover = sorted(forward_cover(net))
+                for m in reachable_markings(net, depth=6):
+                    assert naive_member_down(m, cover)
+                shuffled = list(net.transitions)
+                rng.shuffle(shuffled)
+                assert sorted(forward_cover(replace(net, transitions=tuple(shuffled)))) == cover
+                for u in cover:
+                    target = tuple(2 if c == OMEGA else c for c in u)
+                    assert prestar_basis(replace(net, final=target)).coverable
+                accelerated += any(OMEGA in u for u in cover)
+        assert accelerated > 100
+
+
+class TestPrunedCoverable:
+    def test_random_products(self):
+        verdicts = [coverable(net) for net in random_products()]
+        assert verdicts == [prestar_basis(net).coverable for net in random_products()]
+        assert 0 < sum(verdicts) < 240
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_last_letter_products(self, k):
+        n = last_letter_net(0, k)
+        for net in (product(*last_letter_pair(k)), product(label_expand(n, n), identity_labeled(n))):
+            assert coverable(net) == prestar_basis(net).coverable
+
+
+class TestCoverBudget:
+    def test_raises_past_node_budget(self):
+        # bounded, and no reachable marking lies below another, so every
+        # reachable marking is one kept node
+        net = product(*last_letter_pair(3))
+        n = len(reachable_markings(net))
+        cover = forward_cover(net)
+        assert len(cover) == n
+        # exactly the nodes it keeps is enough; one fewer is not
+        assert list(forward_cover(net, Settings(node_budget=n))) == list(cover)
+        with pytest.raises(BudgetExceededError, match=rf"forward cover kept over {n - 1} nodes"):
+            forward_cover(net, Settings(node_budget=n - 1))
+
+    def test_returns_none_past_limit(self):
+        net = product(*last_letter_pair(3))
+        cover = forward_cover(net)
+        assert list(forward_cover(net, DEFAULT, len(cover))) == list(cover)
+        assert forward_cover(net, DEFAULT, len(cover) - 1) is None
+
+    def test_cli_disjoint_budget_counts_the_search_only(self, tmp_path, monkeypatch, capsys):
+        # the pruned search of the last-letter k=3 product keeps 68 nodes; the
+        # cover it computes is limited to the nodes kept, so it never runs
+        # out of budget first
+        p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
+        for net, path in zip(last_letter_pair(3), (p1, p2)):
+            save_net(net, str(path))
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
+        cfg.write_text('{"node_budget": 67}')
+        assert main(["disjoint", str(p1), str(p2)]) == EXIT_BUDGET_EXCEEDED
+        assert "saturation kept over 67 nodes" in capsys.readouterr().err
+        cfg.write_text('{"node_budget": 68}')
+        assert main(["disjoint", str(p1), str(p2)]) == EXIT_OK
+
+
+def token_chain(tokens: int, final: int) -> LabeledPetriNet:
+    """`tokens` tokens move from p1 to p2 on a and from p2 to p3 on b;
+    bounded, with about tokens**2 / 2 maximal reachable markings."""
+    return LabeledPetriNet(
+        places=("p1", "p2", "p3"),
+        alphabet=("a", "b"),
+        transitions=(Transition("t1", "a", (1, 0, 0), (0, 1, 0)),
+                     Transition("t2", "b", (0, 1, 0), (0, 0, 1))),
+        initial=(tokens, 0, 0),
+        final=(0, 0, final),
+    )
+
+
+# the words that start with b, as a net and as an automaton
+STARTS_WITH_B = LabeledPetriNet(
+    places=("s", "q"),
+    alphabet=("a", "b"),
+    transitions=(Transition("first", "b", (1, 0), (0, 1)),
+                 Transition("a", "a", (0, 1), (0, 1)),
+                 Transition("b", "b", (0, 1), (0, 1))),
+    initial=(1, 0),
+    final=(0, 1),
+)
+STARTS_WITH_B_NFA = Nfa(
+    states=("s", "q"),
+    alphabet=("a", "b"),
+    transitions=(("s", "b", "q"), ("q", "a", "q"), ("q", "b", "q")),
+    initial=frozenset({"s"}),
+    final=frozenset({"q"}),
+)
+
+
+class TestLargeCovers:
+    """The runs of `token_chain(300, ...)` never start with b, and its
+    complete cover holds about 45,000 ideals; computing the cover in full
+    took 53 s already for `token_chain(150, 1)`."""
+
+    @pytest.fixture
+    def covers(self, monkeypatch):
+        calls = []  # (limit, whether a cover came back)
+        cover = backward.forward_cover
+
+        def spy(net, settings=DEFAULT, limit=None):
+            result = cover(net, settings, limit)
+            calls.append((limit, result is not None))
+            return result
+
+        monkeypatch.setattr(backward, "forward_cover", spy)
+        return calls
+
+    def test_small_search_computes_no_cover(self, covers):
+        net = token_chain(300, 1)
+        assert disjoint(net, STARTS_WITH_B)
+        assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
+        assert covers == []
+
+    def test_large_search_limits_the_cover(self, covers):
+        # covering 20 tokens in p3 has 231 minimal markings
+        net = token_chain(300, 20)
+        assert coverable(net) and prestar_basis(net).coverable
+        assert disjoint(net, STARTS_WITH_B)
+        assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
+        # the chain's own searches give up on the cover; the product with
+        # STARTS_WITH_B cannot move, so its cover is one ideal
+        assert covers == [(64, False), (66, True), (64, False), (256, False)]
+        assert not coverable(replace(net, initial=(19, 0, 0)))
+
+
+class TestLowerBoundBeyondCriterion7:
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_separator_needs_2_to_the_k_states_and_verifies(self, k):
+        n0, n1 = last_letter_pair(k)
+        bundle = separate(n0, n1)
+        assert len(minimize(determinize(bundle.separator)).states) >= 2**k
+        assert verify_separator(n0, n1, bundle.separator).passed
