@@ -7,22 +7,11 @@ certificate chain: backward-reachability basis, ideal-decomposed inductive
 invariant, separating automaton, and exact coverability-based verification.
 """
 
-from .automata import Nfa, complement, determinize, member, minimize, net_automaton_empty, relabel
+from .automata import Nfa, complement, determinize, member, minimize, relabel
 from .backward import BackwardResult, coverable, disjoint, pred_basis, prestar_basis
 from .errors import BudgetExceededError, InputError, NotDisjointError
-from .ideals import (
-    OMEGA,
-    DownSet,
-    UpSet,
-    canonicalize_down,
-    canonicalize_up,
-    complement_upset,
-    intersect_ideals,
-    member_down,
-    member_up,
-    omega_leq,
-)
-from .invariant import InvariantCertificate, check_invariant, invariant_from_backward, theoretical_bound
+from .ideals import OMEGA, DownSet, UpSet, complement_upset, member_down, member_up, omega_leq
+from .invariant import InvariantCertificate, check_invariant, invariant_from_backward
 from .petri import (
     LabeledPetriNet,
     NetSizeReport,
@@ -54,8 +43,6 @@ __all__ = [
     "UpSet",
     "bounded_language",
     "build_core_automaton",
-    "canonicalize_down",
-    "canonicalize_up",
     "check_invariant",
     "complement",
     "complement_upset",
@@ -65,14 +52,12 @@ __all__ = [
     "disjoint",
     "fire",
     "identity_labeled",
-    "intersect_ideals",
     "invariant_from_backward",
     "label_expand",
     "member",
     "member_down",
     "member_up",
     "minimize",
-    "net_automaton_empty",
     "net_size",
     "omega_leq",
     "pred_basis",
@@ -80,6 +65,5 @@ __all__ = [
     "product",
     "relabel",
     "separate",
-    "theoretical_bound",
     "verify_separator",
 ]

@@ -236,20 +236,21 @@ def net_automaton_intersection_witness(
     return None
 
 
-def net_automaton_empty(net: LabeledPetriNet, a: Nfa) -> bool:
-    """Exactly decide L(net) and L(a) being disjoint, via coverability."""
-    return net_automaton_intersection_witness(net, a) is None
+def _dot_str(x: str) -> str:
+    return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(a: Nfa) -> str:
-    """GraphViz rendering for visual inspection."""
+    """GraphViz rendering for visual inspection.  State i is node n<i>,
+    labeled with its name; names and letters are quoted and escaped."""
+    node = {s: f"n{i}" for i, s in enumerate(a.states)}
     lines = ["digraph automaton {", "  rankdir=LR;", '  hidden [shape=none, label=""];']
     for s in a.states:
         shape = "doublecircle" if s in a.final else "circle"
-        lines.append(f'  "{s}" [shape={shape}];')
+        lines.append(f"  {node[s]} [shape={shape}, label={_dot_str(s)}];")
     for s in sorted(a.initial):
-        lines.append(f'  hidden -> "{s}";')
+        lines.append(f"  hidden -> {node[s]};")
     for s, letter, r in a.transitions:
-        lines.append(f'  "{s}" -> "{r}" [label="{letter}"];')
+        lines.append(f"  {node[s]} -> {node[r]} [label={_dot_str(letter)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

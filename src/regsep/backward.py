@@ -8,7 +8,7 @@ Termination is guaranteed by Dickson's lemma.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, le, sub
 from typing import Hashable, Mapping, Sequence, TypeVar
 
@@ -18,9 +18,6 @@ from .ideals import OMEGA, Antichain, IdealAntichain, Marking, UpSet, check_mark
 from .ideals import member_up, omega_leq
 from .petri import LabeledPetriNet, covers, fire, product
 
-# maps each discovered basis vector to the (transition, target vector) pair
-# that generated it; None marks the final-marking root
-ParentMap = dict[Marking, "tuple[str, Marking] | None"]
 Node = TypeVar("Node", bound=Hashable)
 
 
@@ -29,7 +26,6 @@ class BackwardResult:
     basis: UpSet
     iterations: int
     coverable: bool
-    parents: ParentMap = field(repr=False, default_factory=dict)
 
 
 def _pred(v: Marking, pre: Marking, post: Marking) -> Marking:
@@ -164,14 +160,9 @@ def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Backwar
     """Saturate the minimal basis of the markings that can cover the final
     one: the one-state case of `saturate`, unpruned: the separator uses it."""
     back = {(None, t.label): (None,) for t in net.transitions}
-    chains, parents, iterations = saturate(net, (None,), back, settings)
+    chains, _, iterations = saturate(net, (None,), back, settings)
     basis = UpSet(net.dimension, tuple(sorted(chains[None])))
-    return BackwardResult(
-        basis=basis,
-        iterations=iterations,
-        coverable=member_up(net.initial, basis),
-        parents={m: None if p is None else (p[0], p[1][1]) for (_, m), p in parents.items()},
-    )
+    return BackwardResult(basis, iterations, member_up(net.initial, basis))
 
 
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
@@ -214,19 +205,3 @@ def replay_chain(
     if not covers(m, net.final):
         raise RuntimeError("backward chain must end covering the final marking")
     return tuple(word)
-
-
-def coverability_witness(
-    net: LabeledPetriNet, result: BackwardResult | None = None
-) -> tuple[str, ...] | None:
-    """A word labeling a covering run from the initial marking, or None.
-
-    Replays the backward chain forward: each basis element records the
-    transition that maps its upward cone into the cone of its parent.
-    """
-    if result is None:
-        result = prestar_basis(net)
-    if not result.coverable:
-        return None
-    start = next(b for b in result.basis.basis if omega_leq(b, net.initial))
-    return replay_chain(net, result.parents, start)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / property holds, 1 a checked property fails (e.g.
 the net is coverable, the languages overlap, verification fails), 2
-malformed input, 3 `separate` was given non-disjoint nets, 4 an exhaustive
-exploration ran out of its node budget.
+malformed input or an output path that cannot be written, 3 `separate` was
+given non-disjoint nets, 4 an exhaustive exploration ran out of its node
+budget.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:  # reading input raises InputError, so this is output
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

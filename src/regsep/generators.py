@@ -13,7 +13,7 @@ LAST_LETTER_ALPHABET = ("0", "1", "b", "c")
 DEFAULT_K_CAP = 10
 
 
-def last_letter_net(bit: int, k: int, cap: int = DEFAULT_K_CAP) -> LabeledPetriNet:
+def last_letter_net(bit: int, k: int) -> LabeledPetriNet:
     """Net accepting c.u.x.v.c with u,v over {0,1}, |v| = k-1, and x = bit.
 
     A counter place starts preloaded with k tokens; the bit transition and
@@ -23,8 +23,8 @@ def last_letter_net(bit: int, k: int, cap: int = DEFAULT_K_CAP) -> LabeledPetriN
     """
     if bit not in (0, 1):
         raise InputError("bit must be 0 or 1")
-    if not 1 <= k <= cap:
-        raise InputError(f"k must be between 1 and {cap}")
+    if not 1 <= k <= DEFAULT_K_CAP:
+        raise InputError(f"k must be between 1 and {DEFAULT_K_CAP}")
     places = ("p1", "p2", "p3", "p4", "out", "in")
 
     def vec(**kw: int) -> tuple[int, ...]:
@@ -49,11 +49,9 @@ def last_letter_net(bit: int, k: int, cap: int = DEFAULT_K_CAP) -> LabeledPetriN
     )
 
 
-def last_letter_pair(
-    k: int, cap: int = DEFAULT_K_CAP
-) -> tuple[LabeledPetriNet, LabeledPetriNet]:
+def last_letter_pair(k: int) -> tuple[LabeledPetriNet, LabeledPetriNet]:
     """The two nets whose 0/1 cores disagree on the k-last letter."""
-    return last_letter_net(0, k, cap), last_letter_net(1, k, cap)
+    return last_letter_net(0, k), last_letter_net(1, k)
 
 
 @dataclass

@@ -62,13 +62,6 @@ def omega_leq(u: OmegaMarking, v: OmegaMarking) -> bool:
     return all(map(le, u, v))
 
 
-def intersect_ideals(u: OmegaMarking, v: OmegaMarking) -> OmegaMarking:
-    """Intersection of two ideals: componentwise min."""
-    if len(u) != len(v):
-        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(map(min, u, v))
-
-
 def ideal_fire(u: OmegaMarking, pre: Marking, post: Marking) -> OmegaMarking | None:
     """Successor of the ideal `u` under a step with the given pre/post vectors.
 
@@ -95,9 +88,6 @@ class UpSet:
         if list(self.basis) != sorted(self.basis):
             raise InputError("basis is not in canonical order")
 
-    def __contains__(self, m: Marking) -> bool:
-        return member_up(m, self)
-
     def norm(self) -> int:
         """Largest entry over all basis vectors (0 when empty)."""
         return max((c for m in self.basis for c in m), default=0)
@@ -117,9 +107,6 @@ class DownSet:
             raise InputError("ideals are not an antichain")
         if list(self.ideals) != sorted(self.ideals):
             raise InputError("ideals are not in canonical order")
-
-    def __contains__(self, m: Marking) -> bool:
-        return member_down(m, self)
 
 
 class Antichain(dict):
@@ -198,22 +185,6 @@ class IdealAntichain(Antichain):
     @staticmethod
     def _mask(u: OmegaMarking) -> int:
         return sum(compress(_BITS, map(OMEGA.__ne__, u)))
-
-
-def canonicalize_up(dimension: int, vectors: Iterable[Marking]) -> UpSet:
-    """Keep only minimal vectors, sorted canonically."""
-    vecs = [tuple(v) for v in vectors]
-    for v in vecs:
-        check_marking(v, dimension)
-    return UpSet(dimension, tuple(sorted(Antichain(vecs))))
-
-
-def canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet:
-    """Keep only maximal ideals, sorted canonically."""
-    vecs = [tuple(u) for u in ideals]
-    for u in vecs:
-        check_omega_marking(u, dimension)
-    return DownSet(dimension, tuple(sorted(IdealAntichain(vecs))))
 
 
 def member_up(m: Marking, u: UpSet) -> bool:

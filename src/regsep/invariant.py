@@ -38,9 +38,6 @@ class BackwardBound:
     base: int
     exponent: int
 
-    def value(self) -> int:
-        return self.base ** self.exponent
-
     def at_least(self, v: int) -> bool:
         """True iff base**exponent >= v, without materializing huge powers."""
         if v <= 0:
@@ -96,11 +93,6 @@ def backward_bound(net: LabeledPetriNet, constant: int = 4) -> BackwardBound:
     base = t * (flow_norm + max(net.initial, default=0) + max(net.final, default=0) + 2)
     exponent = 2 ** (p * ((p + 1).bit_length() - 1) + constant)
     return BackwardBound(base=base, exponent=exponent)
-
-
-def theoretical_bound(net: LabeledPetriNet, constant: int = 4) -> int:
-    """Materialized form of `backward_bound`; 0 for transition-free nets."""
-    return backward_bound(net, constant).value()
 
 
 def invariant_from_backward(

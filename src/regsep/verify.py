@@ -1,9 +1,8 @@
-"""Exact separator verification and the bounded-word oracles used in tests."""
+"""Exact separator verification and bounded enumeration of a net's language."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from .config import DEFAULT, Settings
@@ -96,9 +95,3 @@ def bounded_language(
                 )
             frontier[word] = kept
     return tuple(sorted(accepted, key=lambda w: (len(w), w)))
-
-
-def image_words(words: Iterable[Word], mapping: dict[str, str]) -> tuple[Word, ...]:
-    """Apply a letter homomorphism to a set of words; deterministic order."""
-    out = {tuple(mapping[x] for x in w) for w in words}
-    return tuple(sorted(out, key=lambda w: (len(w), w)))

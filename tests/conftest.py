@@ -1,5 +1,5 @@
-"""Shared fixtures: the worked example pair, the last-letter candidate NFAs
-and the random disjoint corpus."""
+"""Shared fixtures: the worked example pair, the last-letter candidate NFAs,
+the automaton of all words and the random disjoint corpus."""
 
 from __future__ import annotations
 
@@ -43,6 +43,18 @@ def candidate_nfa(k: int, bit: int) -> Nfa:
         transitions=tuple(edges),
         initial=frozenset({"s0"}),
         final=frozenset({"f"}),
+    )
+
+
+def universal_nfa(alphabet: tuple[str, ...]) -> Nfa:
+    """One state, initial and final, with a loop on every letter: it accepts
+    every word over `alphabet`."""
+    return Nfa(
+        states=("u",),
+        alphabet=alphabet,
+        transitions=tuple(("u", x, "u") for x in alphabet),
+        initial=frozenset({"u"}),
+        final=frozenset({"u"}),
     )
 
 

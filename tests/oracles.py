@@ -16,6 +16,7 @@ from regsep.backward import BackwardResult, pred_basis, replay_chain
 from regsep.errors import InputError
 from regsep.ideals import (
     OMEGA,
+    Antichain,
     Coord,
     DownSet,
     Marking,
@@ -23,7 +24,6 @@ from regsep.ideals import (
     UpSet,
     check_omega_marking,
     ideal_fire,
-    intersect_ideals,
     omega_leq,
 )
 from regsep.invariant import InvariantCertificate, check_invariant
@@ -54,11 +54,25 @@ def naive_member_down(m: Marking, ideals: Iterable[OmegaMarking]) -> bool:
     return any(all(naive_coord_leq(x, u) for x, u in zip(m, vec)) for vec in ideals)
 
 
+def intersect_ideals(u: OmegaMarking, v: OmegaMarking) -> OmegaMarking:
+    """Intersection of two ideals: componentwise min."""
+    if len(u) != len(v):
+        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return tuple(map(min, u, v))
+
+
+def image_words(words: Iterable[Word], mapping: dict[str, str]) -> tuple[Word, ...]:
+    """Apply a letter homomorphism to a set of words; deterministic order."""
+    out = {tuple(mapping[x] for x in w) for w in words}
+    return tuple(sorted(out, key=lambda w: (len(w), w)))
+
+
 def naive_canonicalize_down(dimension: int, ideals: Iterable[OmegaMarking]) -> DownSet:
     """Keep only maximal ideals, sorted canonically, comparing every pair.
 
-    This is the library's original `regsep.ideals.canonicalize_down`, kept
-    as its reference.
+    This is the library's original `canonicalize_down`, kept as the
+    reference for the maximal ideals that `regsep.ideals.IdealAntichain`
+    keeps.
     """
     vecs = list(dict.fromkeys(tuple(u) for u in ideals))
     for u in vecs:
@@ -228,14 +242,12 @@ def random_nfa(rng: random.Random, n_states: int = 5, alphabet: Sequence[str] = 
     )
 
 
-def random_upset(rng: random.Random, dimension: int, max_basis: int, norm: int):
-    from regsep.ideals import canonicalize_up
-
+def random_upset(rng: random.Random, dimension: int, max_basis: int, norm: int) -> UpSet:
     vectors = [
         tuple(rng.randint(0, norm) for _ in range(dimension))
         for _ in range(rng.randint(0, max_basis))
     ]
-    return canonicalize_up(dimension, vectors)
+    return UpSet(dimension, tuple(sorted(Antichain(vectors))))
 
 
 def fold_complement_upset(u: UpSet) -> DownSet:
@@ -267,14 +279,16 @@ def fold_complement_upset(u: UpSet) -> DownSet:
     return naive_canonicalize_down(d, acc)
 
 
-def list_prestar_basis(net: LabeledPetriNet) -> BackwardResult:
+def list_prestar_basis(net: LabeledPetriNet) -> tuple[BackwardResult, dict]:
     """Backward saturation with the basis kept as a plain list.
 
     FIFO worklist over basis elements; every newcomer is compared with every
     incumbent, dominated newcomers are dropped and dominated incumbents
     evicted.  This is the library's original loop, kept as the reference
     for `regsep.backward.prestar_basis`; the final basis goes through the
-    validating `UpSet` constructor instead of `canonicalize_up`.
+    validating `UpSet` constructor.  Returns the result and the map from
+    each kept marking to the (transition, marking) pair that generated it,
+    None at the final marking.
     """
     root = net.final
     basis: list[Marking] = [root]
@@ -296,12 +310,8 @@ def list_prestar_basis(net: LabeledPetriNet) -> BackwardResult:
                 parents[m] = (t.name, v)
             queue.append(m)
     canonical = UpSet(net.dimension, tuple(sorted(basis)))
-    return BackwardResult(
-        basis=canonical,
-        iterations=iterations,
-        coverable=naive_member_up(net.initial, canonical.basis),
-        parents=parents,
-    )
+    coverable = naive_member_up(net.initial, canonical.basis)
+    return BackwardResult(canonical, iterations, coverable), parents
 
 
 def list_intersection_saturation(net: LabeledPetriNet, a) -> tuple[dict, dict, int]:

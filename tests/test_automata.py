@@ -3,7 +3,9 @@ net-versus-automaton emptiness check."""
 
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
@@ -14,7 +16,6 @@ from regsep.automata import (
     is_complete_dfa,
     member,
     minimize,
-    net_automaton_empty,
     net_automaton_intersection_witness,
     relabel,
     to_dot,
@@ -26,7 +27,7 @@ from regsep.generators import last_letter_pair
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import candidate_nfa, make_worked_pair
+from .conftest import candidate_nfa, make_worked_pair, universal_nfa
 from .oracles import all_words, naive_language, nfa_words, random_nfa, two_pass_minimize
 
 
@@ -228,14 +229,8 @@ class TestNetAutomatonEmpty:
     def test_universal_automaton_matches_coverability(self):
         n1, n2 = make_worked_pair()
         for net in (n1, n2):
-            univ = Nfa(
-                states=("u",),
-                alphabet=net.alphabet,
-                transitions=tuple(("u", x, "u") for x in net.alphabet),
-                initial=frozenset({"u"}),
-                final=frozenset({"u"}),
-            )
-            assert net_automaton_empty(net, univ) == (not coverable(net))
+            univ = universal_nfa(net.alphabet)
+            assert (net_automaton_intersection_witness(net, univ) is not None) == coverable(net)
 
     def test_no_final_states(self):
         n1, _ = make_worked_pair()
@@ -246,25 +241,19 @@ class TestNetAutomatonEmpty:
             initial=frozenset({"u"}),
             final=frozenset(),
         )
-        assert net_automaton_empty(n1, empty)
+        assert net_automaton_intersection_witness(n1, empty) is None
 
     def test_worked_pair_separator_disjoint_from_first_net(self):
         n1, n2 = make_worked_pair()
         bundle = separate(n1, n2)
-        assert net_automaton_empty(n1, bundle.separator)
+        assert net_automaton_intersection_witness(n1, bundle.separator) is None
         # confirmed by direct word enumeration to length 8
         sep_words = {w for w in all_words(("a",), 8) if member(bundle.separator, w)}
         assert not (naive_language(n1, 8) & sep_words)
 
     def test_witness_is_in_both_languages(self):
         n1, _ = make_worked_pair()
-        univ = Nfa(
-            states=("u",),
-            alphabet=("a",),
-            transitions=(("u", "a", "u"),),
-            initial=frozenset({"u"}),
-            final=frozenset({"u"}),
-        )
+        univ = universal_nfa(("a",))
         w = net_automaton_intersection_witness(n1, univ)
         assert w is not None
         assert w in naive_language(n1, len(w))
@@ -278,7 +267,7 @@ class TestNetAutomatonEmpty:
             pair = random_net_pair(seed, places=2, transitions=2, norm=1)
             net = pair.n1
             a = random_nfa(rng, alphabet=net.alphabet)
-            empty = net_automaton_empty(net, a)
+            empty = net_automaton_intersection_witness(net, a) is None
             joint = naive_language(net, 8) & nfa_words(a, 8)
             if joint:
                 assert not empty
@@ -290,4 +279,27 @@ class TestDot:
     def test_renders(self):
         out = to_dot(simple_nfa())
         assert out.startswith("digraph")
-        assert '"q0" -> "q1"' in out
+        assert 'n0 [shape=circle, label="q0"];' in out
+        assert 'n0 -> n1 [label="a"];' in out
+
+    def test_escapes_names_and_letters(self):
+        a = Nfa(
+            states=('s"1', "hidden", "back\\"),
+            alphabet=('"',),
+            transitions=(('s"1', '"', "hidden"), ("hidden", '"', "back\\")),
+            initial=frozenset({'s"1'}),
+            final=frozenset({"hidden"}),
+        )
+        out = to_dot(a)
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        token = rf'\s*(?:{quoted}|\w+|->|[\[\]=,;{{}}])'
+        for line in out.splitlines():
+            assert re.fullmatch(rf"(?:{token})*\s*", line), line
+        # the labels unescape as JSON strings do (a quote and a backslash
+        # escape alike), and the start node stays apart from state "hidden"
+        labels = re.findall(rf"(\w+) \[shape=\w+, label=({quoted})\];", out)
+        assert [(node, json.loads(label)) for node, label in labels] == [
+            ("hidden", ""), ("n0", 's"1'), ("n1", "hidden"), ("n2", "back\\"),
+        ]
+        assert "hidden -> n0;" in out
+        assert 'n0 -> n1 [label="\\""];' in out

@@ -8,14 +8,7 @@ import pytest
 
 from regsep import automata, backward
 from regsep.automata import determinize, minimize, net_automaton_intersection_witness
-from regsep.backward import (
-    coverability_witness,
-    coverable,
-    disjoint,
-    pred_basis,
-    prestar_basis,
-    replay_chain,
-)
+from regsep.backward import coverable, disjoint, pred_basis, prestar_basis, replay_chain, saturate
 from regsep.config import Settings
 from regsep.errors import BudgetExceededError, InputError
 from regsep.generators import last_letter_pair, random_net_pair
@@ -24,7 +17,7 @@ from regsep.petri import LabeledPetriNet, Transition, product
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import candidate_nfa, make_worked_pair
+from .conftest import candidate_nfa, make_worked_pair, universal_nfa
 from .oracles import brute_pred_basis, forward_coverable, naive_language, random_nfa
 
 
@@ -139,9 +132,10 @@ class TestPrestarBasis:
 class TestBudget:
     def test_saturation_raises_past_node_budget(self):
         net = product(*last_letter_pair(3))
-        kept = len(prestar_basis(net).parents)
+        back = {(None, t.label): (None,) for t in net.transitions}
+        kept = len(saturate(net, (None,), back)[1])
         # exactly the nodes it keeps is enough; one fewer is not
-        assert prestar_basis(net, Settings(node_budget=kept)).parents
+        assert prestar_basis(net, Settings(node_budget=kept)).basis == prestar_basis(net).basis
         with pytest.raises(BudgetExceededError, match=r"\d+ iterations, antichain size \d+"):
             prestar_basis(net, Settings(node_budget=kept - 1))
         with pytest.raises(BudgetExceededError):
@@ -192,6 +186,11 @@ class TestCoverableDisjoint:
         assert checked >= 40
 
 
+def coverability_witness(net: LabeledPetriNet):
+    """A word of L(net), from the witness search against all words."""
+    return net_automaton_intersection_witness(net, universal_nfa(net.alphabet))
+
+
 class TestWitness:
     def test_witness_is_accepted_word(self):
         net = one_place_net(0, 1, 0, 2)
@@ -208,12 +207,11 @@ class TestWitness:
         for seed in range(60):
             pair = random_net_pair(seed)
             net = product(pair.n1, pair.n2)
-            result = prestar_basis(net)
-            if not result.coverable:
+            word = coverability_witness(net)
+            assert (word is not None) == prestar_basis(net).coverable
+            if word is None:
                 continue
             found += 1
-            word = coverability_witness(net, result)
-            assert word is not None
             # replay the witness letters as an actual accepted run
             assert word in naive_language(net, len(word))
         assert found >= 3

@@ -120,6 +120,14 @@ class TestSeparate:
             tuple(v) for v in prov["basis"]
         ) == [(0, 3), (1, 2), (2, 1)]
 
+    def test_output_over_a_file_exits_2(self, worked_files, tmp_path, capsys):
+        p1, p2 = worked_files
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["separate", p1, p2, "-o", str(taken)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_self_overlap_exits_3(self, tmp_path):
         net = LabeledPetriNet(
             places=("p",),
@@ -295,6 +303,13 @@ class TestGenerators:
             main(["gen-lastletter", "--bit", "1", "--k", "99", "-o", str(out)])
             == EXIT_INPUT_ERROR
         )
+
+    def test_gen_lastletter_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.net"
+        args = ["gen-lastletter", "--bit", "0", "--k", "2", "-o", str(out)]
+        assert main(args) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
     def test_gen_random_matches_library(self, tmp_path, capsys):
         prefix = tmp_path / "pair"

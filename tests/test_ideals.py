@@ -15,15 +15,14 @@ from regsep.errors import BudgetExceededError, InputError
 from regsep.generators import last_letter_pair, random_net_pair
 from regsep.ideals import (
     OMEGA,
+    Antichain,
     DownSet,
+    IdealAntichain,
     UpSet,
-    canonicalize_down,
-    canonicalize_up,
     check_marking,
     check_omega_marking,
     complement_upset,
     ideal_fire,
-    intersect_ideals,
     member_down,
     member_up,
     omega_leq,
@@ -33,6 +32,7 @@ from regsep.petri import identity_labeled, label_expand, product
 from .oracles import (
     all_markings,
     fold_complement_upset,
+    intersect_ideals,
     naive_canonicalize_down,
     naive_member_down,
     naive_member_up,
@@ -48,11 +48,21 @@ def omega_vectors(dimension: int):
     return st.tuples(*([coords] * dimension))
 
 
+def canonical_up(d, vectors):
+    """The minimal vectors, sorted: the canonical `UpSet` they generate."""
+    return UpSet(d, tuple(sorted(Antichain(vectors))))
+
+
+def canonical_down(d, ideals):
+    """The maximal ideals, sorted: the canonical `DownSet` of their union."""
+    return DownSet(d, tuple(sorted(IdealAntichain(ideals))))
+
+
 @st.composite
 def upsets(draw):
     d = draw(st.integers(min_value=1, max_value=4))
     vectors = draw(st.lists(st.tuples(*([st.integers(0, 3)] * d)), max_size=6))
-    return canonicalize_up(d, vectors)
+    return canonical_up(d, vectors)
 
 
 def canonical_key(u):
@@ -237,38 +247,38 @@ class TestCanonicalize:
     @given(st.lists(omega_vectors(3), max_size=12))
     @settings(max_examples=100)
     def test_down_matches_pairwise_scan(self, ideals):
-        assert canonicalize_down(3, ideals) == naive_canonicalize_down(3, ideals)
+        assert canonical_down(3, ideals) == naive_canonicalize_down(3, ideals)
 
     def test_down_examples(self):
-        assert set(canonicalize_down(2, [(0, W), (0, 0), (1, 1)]).ideals) == {
+        assert set(canonical_down(2, [(0, W), (0, 0), (1, 1)]).ideals) == {
             (0, W),
             (1, 1),
         }
-        assert canonicalize_down(2, []).ideals == ()
+        assert canonical_down(2, []).ideals == ()
 
     def test_up_examples(self):
-        assert set(canonicalize_up(2, [(2, 1), (1, 2), (2, 2)]).basis) == {
+        assert set(canonical_up(2, [(2, 1), (1, 2), (2, 2)]).basis) == {
             (2, 1),
             (1, 2),
         }
-        assert canonicalize_up(2, []).basis == ()
+        assert canonical_up(2, []).basis == ()
 
     def test_deterministic_order(self):
-        a = canonicalize_down(2, [(1, 1), (0, W), (W, 0)])
-        b = canonicalize_down(2, [(W, 0), (1, 1), (0, W)])
+        a = canonical_down(2, [(1, 1), (0, W), (W, 0)])
+        b = canonical_down(2, [(W, 0), (1, 1), (0, W)])
         assert a.ideals == b.ideals
 
     @given(st.lists(omega_vectors(3), max_size=6))
     @settings(max_examples=60)
     def test_down_preserves_denotation(self, ideals):
-        canon = canonicalize_down(3, ideals)
+        canon = canonical_down(3, ideals)
         for m in all_markings(3, 3):
             assert naive_member_down(m, ideals) == member_down(m, canon)
 
     @given(st.lists(st.tuples(*([st.integers(0, 4)] * 3)), max_size=6))
     @settings(max_examples=60)
     def test_up_preserves_denotation(self, vectors):
-        canon = canonicalize_up(3, vectors)
+        canon = canonical_up(3, vectors)
         for m in all_markings(3, 3):
             assert naive_member_up(m, vectors) == member_up(m, canon)
 

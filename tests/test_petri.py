@@ -20,10 +20,10 @@ from regsep.petri import (
     net_size,
     product,
 )
-from regsep.verify import bounded_language, image_words
+from regsep.verify import bounded_language
 
 from .conftest import make_worked_pair
-from .oracles import naive_language
+from .oracles import image_words, naive_language
 
 
 def one_place_net(pre: int, post: int, m0: int, mf: int) -> LabeledPetriNet:

@@ -104,3 +104,23 @@ def test_no_comprehension_over_zip():
             and node.iter.func.id == "zip"
         ]
     assert found == []
+
+
+# exports that no module of the package uses, each kept for a reason
+UNUSED_EXPORTS = {
+    "member": "word membership of an automaton; the acceptance gate checks with it",
+    "net_size": "the paper's measure of the size of a net",
+    "pred_basis": "the predecessor formula in public form, checked against brute force",
+}
+
+
+def test_no_dead_exports():
+    # a public name that only the tests call is API nobody else needs
+    used = set()
+    for _, tree in _modules(skip=("__init__.py",)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(regsep.__all__) - used) == sorted(UNUSED_EXPORTS)

@@ -12,9 +12,9 @@ from regsep.errors import BudgetExceededError, InputError
 from regsep.ideals import IdealAntichain
 from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
-from regsep.verify import bounded_language, image_words, verify_separator
+from regsep.verify import bounded_language, verify_separator
 
-from .oracles import naive_language, naive_maximal
+from .oracles import image_words, naive_language, naive_maximal
 
 
 def universal(alphabet: tuple[str, ...]) -> Nfa:
