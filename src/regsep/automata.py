@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .backward import PRUNE_AFTER, replay_chain, saturate
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
-from .ideals import OmegaMarking, omega_leq
+from .ideals import OmegaMarking, check_omega_marking, omega_leq
 from .petri import LabeledPetriNet
 
 Edge = tuple[str, str, str]
@@ -48,9 +48,16 @@ class Nfa:
             raise InputError("duplicate transitions")
         if not self.initial <= states or not self.final <= states:
             raise InputError("initial/final states must be declared states")
-        for s, _ in self.annotations:
+        if len(set(self.annotation_places)) != len(self.annotation_places):
+            raise InputError("duplicate annotation places")
+        annotated: set[str] = set()
+        for s, u in self.annotations:
             if s not in states:
                 raise InputError(f"annotation references undeclared state {s!r}")
+            if s in annotated:
+                raise InputError(f"state {s!r} is annotated twice")
+            annotated.add(s)
+            check_omega_marking(u, len(self.annotation_places))
 
     def annotation_map(self) -> dict[str, OmegaMarking]:
         return dict(self.annotations)

@@ -10,6 +10,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
@@ -19,7 +20,7 @@ from . import automata, backward, fileio, generators, invariant, separator, veri
 from .config import load_settings
 from .errors import BudgetExceededError, InputError, NotDisjointError
 from .ideals import vector_str
-from .petri import product
+from .petri import LabeledPetriNet, product
 
 log = logging.getLogger("regsep")
 
@@ -28,6 +29,13 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_DISJOINT = 3
 EXIT_BUDGET_EXCEEDED = 4
+
+
+def net_digest(net: LabeledPetriNet) -> str:
+    payload = repr(
+        (net.places, net.alphabet, net.transitions, net.initial, net.final)
+    ).encode()
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
@@ -58,7 +66,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if result.coverable:
         print("COVERABLE: the product accepts a word, no inductive invariant exists")
         return EXIT_PROPERTY_FAILED
-    cert = invariant.invariant_from_backward(prod, args.settings, result)
+    cert = invariant.invariant_from_backward(prod, result, args.settings)
     for u in cert.down.ideals:
         print(f"ideal {vector_str(u)}")
     report = invariant.check_invariant(prod, cert.down)
@@ -102,8 +110,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         "ideal_count": len(bundle.certificate.down.ideals),
         "bound_base": bundle.certificate.bound.base,
         "bound_exponent": bundle.certificate.bound.exponent,
-        "n1_digest": bundle.n1_digest,
-        "n2_digest": bundle.n2_digest,
+        "n1_digest": net_digest(n1),
+        "n2_digest": net_digest(n2),
         "core_states": len(bundle.core.states),
         "separator_states": len(bundle.separator.states),
     }

@@ -20,10 +20,14 @@ ENV_VAR = "REGSEP_CONFIG"
 class Settings:
     sample_maxlen_cap: int = 10
     node_budget: int = 500_000
-    bound_constant: int = 4
 
 
 DEFAULT = Settings()
+
+
+def is_count(value: object) -> bool:
+    """True iff `value` is a non-negative int; `bool` is an int but no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_settings(path: str | None = None) -> Settings:
@@ -44,6 +48,6 @@ def load_settings(path: str | None = None) -> Settings:
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_count(value):
             raise InputError(f"config key {key} must be a non-negative integer")
     return Settings(**raw)

@@ -12,6 +12,7 @@ import json
 from typing import Any
 
 from .automata import Nfa
+from .config import is_count
 from .errors import InputError
 from .ideals import OMEGA, Coord, OmegaMarking
 from .petri import LabeledPetriNet, Transition
@@ -30,7 +31,7 @@ AUT_FIELDS = {
 
 
 def _check_count(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not is_count(value):
         raise InputError(f"{where}: counts must be non-negative decimal integers")
     return value
 

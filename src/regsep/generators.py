@@ -10,6 +10,7 @@ from .errors import InputError
 from .petri import LabeledPetriNet, Transition
 
 LAST_LETTER_ALPHABET = ("0", "1", "b", "c")
+RANDOM_ALPHABET = ("a", "b")
 DEFAULT_K_CAP = 10
 
 
@@ -61,16 +62,14 @@ class RandomPair:
     disjoint: bool
 
 
-def _random_net(
-    rng: random.Random, places: int, transitions: int, norm: int, alphabet: tuple[str, ...]
-) -> LabeledPetriNet:
+def _random_net(rng: random.Random, places: int, transitions: int, norm: int) -> LabeledPetriNet:
     names = tuple(f"p{i}" for i in range(places))
 
     def vector() -> tuple[int, ...]:
         return tuple(rng.randint(0, norm) for _ in range(places))
 
     trans = tuple(
-        Transition(f"t{i}", rng.choice(alphabet), vector(), vector())
+        Transition(f"t{i}", rng.choice(RANDOM_ALPHABET), vector(), vector())
         for i in range(transitions)
     )
     final = vector()
@@ -80,7 +79,7 @@ def _random_net(
         final = tuple(1 if i == idx else 0 for i in range(places))
     return LabeledPetriNet(
         places=names,
-        alphabet=alphabet,
+        alphabet=RANDOM_ALPHABET,
         transitions=trans,
         initial=vector(),
         final=final,
@@ -88,17 +87,12 @@ def _random_net(
 
 
 def random_net_pair(
-    seed: int,
-    places: int = 3,
-    transitions: int = 3,
-    norm: int = 2,
-    alphabet_size: int = 2,
+    seed: int, places: int = 3, transitions: int = 3, norm: int = 2
 ) -> RandomPair:
     """Seeded deterministic pair generation with a disjointness verdict."""
-    if places < 1 or transitions < 0 or norm < 0 or not 1 <= alphabet_size <= 26:
+    if places < 1 or transitions < 0 or norm < 0:
         raise InputError("generator parameters out of range")
     rng = random.Random(seed)
-    alphabet = tuple(chr(ord("a") + i) for i in range(alphabet_size))
-    n1 = _random_net(rng, places, transitions, norm, alphabet)
-    n2 = _random_net(rng, places, transitions, norm, alphabet)
+    n1 = _random_net(rng, places, transitions, norm)
+    n2 = _random_net(rng, places, transitions, norm)
     return RandomPair(n1=n1, n2=n2, disjoint=nets_disjoint(n1, n2))

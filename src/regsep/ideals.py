@@ -22,7 +22,7 @@ from itertools import compress
 from operator import add, ge, le, sub
 from typing import Iterable, Union
 
-from .config import DEFAULT, Settings
+from .config import DEFAULT, Settings, is_count
 from .errors import BudgetExceededError, InputError
 
 OMEGA = math.inf
@@ -41,7 +41,7 @@ def check_marking(m: Marking, dimension: int | None = None) -> None:
     if dimension is not None and len(m) != dimension:
         raise InputError(f"dimension mismatch: expected {dimension}, got {len(m)}")
     for c in m:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if not is_count(c):
             raise InputError(f"marking entry {c!r} is not a non-negative integer")
 
 
@@ -49,9 +49,7 @@ def check_omega_marking(u: OmegaMarking, dimension: int | None = None) -> None:
     if dimension is not None and len(u) != dimension:
         raise InputError(f"dimension mismatch: expected {dimension}, got {len(u)}")
     for c in u:
-        if c == OMEGA:
-            continue
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if c != OMEGA and not is_count(c):
             raise InputError(f"omega-marking entry {c!r} is not a natural or OMEGA")
 
 

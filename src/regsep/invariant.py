@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backward import BackwardResult, prestar_basis
+from .backward import BackwardResult
 from .config import DEFAULT, Settings
 from .errors import InputError
 from .ideals import (
@@ -23,7 +23,10 @@ from .ideals import (
     omega_leq,
     vector_str,
 )
-from .petri import LabeledPetriNet
+from .petri import LabeledPetriNet, net_size
+
+# the hidden constant in the exponent of the bound on the backward basis
+BOUND_CONSTANT = 4
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,11 @@ class InvariantCertificate:
     down: DownSet
     source_basis: UpSet
     bound: BackwardBound
-    bound_ideal_count: int
+
+    @property
+    def bound_ideal_count(self) -> int:
+        """Bound on the number of invariant ideals, (basis norm + 2) ** dimension."""
+        return (self.source_basis.norm() + 2) ** self.source_basis.dimension
 
 
 Successors = dict[tuple[OmegaMarking, str], list[OmegaMarking]]
@@ -78,44 +85,39 @@ class InvariantReport:
         return self.initial_ok and self.final_ok and self.closed_ok
 
 
-def backward_bound(net: LabeledPetriNet, constant: int = 4) -> BackwardBound:
+def backward_bound(net: LabeledPetriNet) -> BackwardBound:
     """Upper bound on basis cardinality and norms of the backward saturation.
 
-    The hidden constant in the doubly-exponential exponent is not
-    recoverable exactly; it is exposed as `constant` (default 4) and the
-    bound is used as a sanity assertion only.
+    The doubly-exponential estimate of Bozzelli & Ganty: base
+    |T| * (flow norm + initial norm + final norm + 2), exponent
+    2**(|P| * floor(log2(|P| + 1)) + BOUND_CONSTANT).  The hidden constant
+    is not recoverable exactly, so it is fixed at 4 and the bound serves as
+    a sanity assertion only.
     """
-    t = len(net.transitions)
-    if t == 0:
+    size = net_size(net)
+    if size.transition_count == 0:
         return BackwardBound(base=0, exponent=1)
-    p = len(net.places)
-    flow_norm = max((c for tr in net.transitions for c in tr.pre + tr.post), default=0)
-    base = t * (flow_norm + max(net.initial, default=0) + max(net.final, default=0) + 2)
-    exponent = 2 ** (p * ((p + 1).bit_length() - 1) + constant)
+    p = size.place_count
+    base = size.transition_count * (size.flow_norm + size.initial_norm + size.final_norm + 2)
+    exponent = 2 ** (p * ((p + 1).bit_length() - 1) + BOUND_CONSTANT)
     return BackwardBound(base=base, exponent=exponent)
 
 
 def invariant_from_backward(
-    net: LabeledPetriNet,
-    settings: Settings = DEFAULT,
-    backward: BackwardResult | None = None,
+    net: LabeledPetriNet, backward: BackwardResult, settings: Settings = DEFAULT
 ) -> InvariantCertificate:
     """Greatest inductive invariant, as the complement of the backward cone.
 
-    Requires the net's language to be empty; otherwise no invariant exists.
-    The saturation and the complement run within `settings.node_budget`,
-    and the bound uses `settings.bound_constant`.
+    `backward` is the saturation of `net`.  It must find the net's
+    language empty; otherwise no invariant exists.  The complement runs
+    within `settings.node_budget`.
     """
-    if backward is None:
-        backward = prestar_basis(net, settings)
     if backward.coverable:
         raise InputError("net is coverable: no inductive invariant exists")
-    down = complement_upset(backward.basis, settings)
     return InvariantCertificate(
-        down=down,
+        down=complement_upset(backward.basis, settings),
         source_basis=backward.basis,
-        bound=backward_bound(net, settings.bound_constant),
-        bound_ideal_count=(backward.basis.norm() + 2) ** net.dimension,
+        bound=backward_bound(net),
     )
 
 

@@ -16,7 +16,6 @@ would escape the separator.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -38,39 +37,31 @@ class SeparatorBundle:
     core: Nfa  # over the second net's transition names
     complement_dfa: Nfa  # complete DFA, complement of `core`
     separator: Nfa  # over the shared alphabet; contains L(n2), avoids L(n1)
-    basis: UpSet
     certificate: InvariantCertificate
-    n1_digest: str
-    n2_digest: str
     w: LabeledPetriNet  # n1 expanded against n2's transition names
     w_det: LabeledPetriNet  # n2 labeled by its own transition names
 
-
-def net_digest(net: LabeledPetriNet) -> str:
-    payload = repr(
-        (net.places, net.alphabet, net.transitions, net.initial, net.final)
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()
+    @property
+    def basis(self) -> UpSet:
+        """Backward basis of product(w, w_det)."""
+        return self.certificate.source_basis
 
 
 def build_core_automaton(
-    w: LabeledPetriNet, w_det: LabeledPetriNet, cert: InvariantCertificate,
-    prod: LabeledPetriNet | None = None,
+    w: LabeledPetriNet, w_det: LabeledPetriNet, cert: InvariantCertificate, prod: LabeledPetriNet
 ) -> Nfa:
-    """Automaton whose states are the invariant ideals of product(w, w_det).
+    """Automaton whose states are the invariant ideals of `prod` = product(w, w_det).
 
-    `prod` is that product, built here when not given.  `w_det` must be
-    injectively labeled.  A state is initial if it dominates the joint
-    initial marking and final if its w-side covers w's final marking.
-    The edges are the successor relation that `check_invariant` records
-    while it checks closedness: a joint step from an ideal leads to every
-    ideal that contains its successor, so edges over-approximate joint
-    steps existentially.  Steps that w can take while w_det cannot fall
-    into the absorbing dead state, which is final.
+    `w_det` must be injectively labeled.  A state is initial if it
+    dominates the joint initial marking and final if its w-side covers w's
+    final marking.  The edges are the successor relation that
+    `check_invariant` records while it checks closedness: a joint step from
+    an ideal leads to every ideal that contains its successor, so edges
+    over-approximate joint steps existentially.  Steps that w can take
+    while w_det cannot fall into the absorbing dead state, which is final.
     """
     if not injectively_labeled(w_det):
         raise ValueError("the deterministic component must be injectively labeled")
-    prod = product(w, w_det) if prod is None else prod
     report = check_invariant(prod, cert.down)
     if not report.passed:
         raise ValueError(f"certificate does not pass the invariant check: {report.failures}")
@@ -121,7 +112,7 @@ def separate(
     backward = prestar_basis(prod, settings)
     if backward.coverable:
         raise NotDisjointError("the coverability languages intersect; no separator exists")
-    cert = invariant_from_backward(prod, settings, backward)
+    cert = invariant_from_backward(prod, backward, settings)
     log.info(
         "basis size %d (norm %d), invariant ideals %d",
         len(backward.basis.basis),
@@ -139,10 +130,7 @@ def separate(
         core=core,
         complement_dfa=comp,
         separator=sep,
-        basis=backward.basis,
         certificate=cert,
-        n1_digest=net_digest(n1),
-        n2_digest=net_digest(n2),
         w=w,
         w_det=w_det,
     )

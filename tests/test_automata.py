@@ -24,6 +24,7 @@ from regsep.backward import coverable
 from regsep.config import DEFAULT, Settings
 from regsep.errors import BudgetExceededError, InputError
 from regsep.generators import last_letter_pair
+from regsep.ideals import OMEGA
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
@@ -61,6 +62,39 @@ class TestValidation:
                 initial=frozenset({"q0"}),
                 final=frozenset(),
             )
+
+
+def annotated(annotations, places=("p",)):
+    return Nfa(
+        states=("a", "b"),
+        alphabet=("x",),
+        transitions=(),
+        initial=frozenset({"a"}),
+        final=frozenset(),
+        annotations=annotations,
+        annotation_places=places,
+    )
+
+
+class TestAnnotationValidation:
+    def test_well_formed_annotations(self):
+        a = annotated((("a", (3,)), ("b", (OMEGA,))))
+        assert a.annotation_map() == {"a": (3,), "b": (OMEGA,)}
+
+    def test_duplicate_annotation_places(self):
+        with pytest.raises(InputError, match="duplicate annotation places"):
+            annotated((("a", (0, 3)),), places=("p", "p"))
+
+    def test_state_annotated_twice(self):
+        # annotation_map() would keep only the second vector
+        with pytest.raises(InputError, match="annotated twice"):
+            annotated((("a", (1,)), ("a", (3,))))
+
+    @pytest.mark.parametrize("u", [(1.5,), (-2,), (True,), ("w",), (1.5, -2), ()])
+    def test_malformed_vector(self, u):
+        # a vector longer than the places would be truncated by the writer's zip
+        with pytest.raises(InputError):
+            annotated((("a", u),))
 
 
 class TestMember:

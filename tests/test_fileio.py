@@ -134,6 +134,34 @@ class TestAutomatonFormat:
         with pytest.raises(InputError):
             automaton_from_dict(raw)
 
+    def test_duplicate_annotation_places_rejected(self):
+        # the first "p" coordinate could never be set
+        raw = {
+            "states": ["q"],
+            "alphabet": ["a"],
+            "initial": ["q"],
+            "final": [],
+            "transitions": [],
+            "annotation_places": ["p", "p"],
+            "annotations": {"q": {"p": 1}},
+        }
+        with pytest.raises(InputError, match="duplicate annotation places"):
+            automaton_from_dict(raw)
+
+    @pytest.mark.parametrize("count", [1.5, -2, True, "x"])
+    def test_malformed_annotation_rejected(self, count):
+        raw = {
+            "states": ["q"],
+            "alphabet": ["a"],
+            "initial": ["q"],
+            "final": [],
+            "transitions": [],
+            "annotation_places": ["p"],
+            "annotations": {"q": {"p": count}},
+        }
+        with pytest.raises(InputError):
+            automaton_from_dict(raw)
+
     def test_unknown_field_rejected(self):
         raw = {
             "states": ["q"],
@@ -179,7 +207,7 @@ class TestConfig:
     def test_defaults(self):
         settings = load_settings(None)
         assert settings.sample_maxlen_cap == 10
-        assert settings.bound_constant == 4
+        assert settings.node_budget == 500_000
 
     def test_load_from_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REGSEP_CONFIG", raising=False)
@@ -197,6 +225,13 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"typo_key": 1}')
         with pytest.raises(InputError):
+            load_settings(str(path))
+
+    def test_bound_constant_is_no_key(self, tmp_path):
+        # the bound's hidden constant is fixed at `invariant.BOUND_CONSTANT`
+        path = tmp_path / "cfg.json"
+        path.write_text('{"bound_constant": 4}')
+        with pytest.raises(InputError, match="unknown config keys"):
             load_settings(str(path))
 
     def test_missing_file_rejected(self):

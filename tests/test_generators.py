@@ -86,6 +86,10 @@ class TestRandomPair:
         assert a.disjoint == b.disjoint
         assert net_to_dict(a.n1) == net_to_dict(b.n1)
 
+    def test_alphabet(self):
+        pair = random_net_pair(3)
+        assert pair.n1.alphabet == pair.n2.alphabet == ("a", "b")
+
     def test_round_trips_through_file_format(self):
         for seed in range(20):
             pair = random_net_pair(seed)
@@ -110,4 +114,4 @@ class TestRandomPair:
         with pytest.raises(InputError):
             random_net_pair(1, places=0)
         with pytest.raises(InputError):
-            random_net_pair(1, alphabet_size=0)
+            random_net_pair(1, norm=-1)

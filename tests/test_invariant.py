@@ -44,7 +44,7 @@ class TestInvariantFromBackward:
     def test_worked_product(self):
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
-        cert = invariant_from_backward(prod)
+        cert = invariant_from_backward(prod, prestar_basis(prod))
         assert set(cert.source_basis.basis) == {(2, 1), (1, 2), (0, 3)}
         assert set(cert.down.ideals) == {(0, 2), (1, 1), (W, 0)}
         # exhaustive membership equivalence over m in {0..5}^2
@@ -60,7 +60,7 @@ class TestInvariantFromBackward:
             initial=(0, 0),
             final=(1, 0),
         )
-        cert = invariant_from_backward(net)
+        cert = invariant_from_backward(net, prestar_basis(net))
         assert cert.down.ideals == ((0, W),)
 
     def test_coverable_net_rejected(self):
@@ -73,29 +73,31 @@ class TestInvariantFromBackward:
         )
         # zero final marking is covered by anything, including the initial
         with pytest.raises(InputError):
-            invariant_from_backward(net)
+            invariant_from_backward(net, prestar_basis(net))
 
     def test_reuses_precomputed_backward_result(self):
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
         backward = prestar_basis(prod)
-        cert = invariant_from_backward(prod, backward=backward)
+        cert = invariant_from_backward(prod, backward)
         assert cert.source_basis == backward.basis
 
     def test_complement_runs_within_the_node_budget(self):
         # the saturation keeps 13 nodes; the complement holds up to 32 ideals
         pair = random_net_pair(1)
         prod = product(pair.n1, pair.n2)
-        assert len(invariant_from_backward(prod, Settings(node_budget=32)).down.ideals) == 32
+        budget = Settings(node_budget=32)
+        backward = prestar_basis(prod, budget)
+        assert len(invariant_from_backward(prod, backward, budget).down.ideals) == 32
         with pytest.raises(BudgetExceededError, match="complement held 32 ideals"):
-            invariant_from_backward(prod, Settings(node_budget=31))
+            invariant_from_backward(prod, backward, Settings(node_budget=31))
 
 
 class TestCheckInvariant:
     def test_constructed_invariant_passes(self):
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
-        cert = invariant_from_backward(prod)
+        cert = invariant_from_backward(prod, prestar_basis(prod))
         report = check_invariant(prod, cert.down)
         assert report.passed
         assert report.failures == []
@@ -125,7 +127,7 @@ class TestCheckInvariant:
     def test_successors_match_brute_force_scan(self):
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
-        down = invariant_from_backward(prod).down
+        down = invariant_from_backward(prod, prestar_basis(prod)).down
         expected = brute_force_successors(prod, down)
         report = check_invariant(prod, down)
         assert report.successors == expected
@@ -138,7 +140,7 @@ class TestCheckInvariant:
         # 10 places, 681 ideals in 178 buckets
         pair = random_net_pair(98, places=5, transitions=3, norm=3)
         prod = product(pair.n1, pair.n2)
-        down = invariant_from_backward(prod).down
+        down = invariant_from_backward(prod, prestar_basis(prod)).down
         assert len(down.ideals) == 681
         report = check_invariant(prod, down)
         assert report.passed
@@ -189,18 +191,6 @@ class TestBounds:
         assert bound_for(1, 0, 1) < bound_for(1, 1, 1)
         assert bound_for(1, 0, 1) < bound_for(1, 0, 2)
 
-    def test_constant_is_configurable(self):
-        net = LabeledPetriNet(
-            places=("p",),
-            alphabet=("a",),
-            transitions=(Transition("t", "a", (1,), (0,)),),
-            initial=(0,),
-            final=(1,),
-        )
-        assert backward_bound(net, constant=5).exponent == 2 * backward_bound(
-            net, constant=4
-        ).exponent
-
     def test_at_least_matches_value_small(self):
         for base in range(0, 5):
             for exponent in range(0, 6):
@@ -215,7 +205,7 @@ class TestBounds:
     def test_ideal_count_bound(self):
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
-        cert = invariant_from_backward(prod)
+        cert = invariant_from_backward(prod, prestar_basis(prod))
         assert len(cert.down.ideals) <= cert.bound_ideal_count
         assert cert.bound_ideal_count == (cert.source_basis.norm() + 2) ** 2
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from regsep.automata import complement, determinize, member, minimize, relabel, widen_alphabet
 from regsep.backward import prestar_basis
-from regsep.config import Settings
+from regsep.cli import main, net_digest
 from regsep.errors import NotDisjointError
+from regsep.fileio import save_net
 from regsep.generators import last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA
 from regsep.invariant import check_invariant, invariant_from_backward
@@ -21,7 +24,6 @@ from regsep.petri import (
 from regsep.separator import (
     DEAD_STATE,
     build_core_automaton,
-    net_digest,
     separate,
 )
 from regsep.verify import bounded_language, verify_separator
@@ -91,9 +93,9 @@ class TestBuildCoreAutomaton:
             final=n2.final,
         )
         prod = product(n1, n2)
-        cert = invariant_from_backward(prod)
+        cert = invariant_from_backward(prod, prestar_basis(prod))
         with pytest.raises(ValueError):
-            build_core_automaton(n1, doubled, cert)
+            build_core_automaton(n1, doubled, cert, prod)
 
     def test_rejects_failing_certificate(self):
         n1, n2 = make_worked_pair()
@@ -104,9 +106,10 @@ class TestBuildCoreAutomaton:
             initial=(0,),
             final=(1,),
         )
-        bad_cert = invariant_from_backward(product(n1, other))
+        other_prod = product(n1, other)
+        bad_cert = invariant_from_backward(other_prod, prestar_basis(other_prod))
         with pytest.raises(ValueError):
-            build_core_automaton(n1, n2, bad_cert)
+            build_core_automaton(n1, n2, bad_cert, product(n1, n2))
 
     def test_no_transitions_in_deterministic_side(self):
         n1 = LabeledPetriNet(
@@ -214,7 +217,7 @@ class TestSeparate:
             calls.append(net)
             return prestar_basis(net, *args)
 
-        for module in ("backward", "invariant", "separator"):
+        for module in ("backward", "separator"):
             monkeypatch.setattr(f"regsep.{module}.prestar_basis", counting)
         n1, n2 = make_worked_pair()
         separate(n1, n2)
@@ -254,13 +257,6 @@ class TestSeparate:
         separate(n1, n2)
         assert len(calls) == 1
 
-    def test_bound_constant_from_settings(self):
-        n1, n2 = make_worked_pair()
-        default = separate(n1, n2).certificate.bound
-        raised = separate(n1, n2, Settings(bound_constant=5)).certificate.bound
-        assert raised.base == default.base
-        assert raised.exponent == 2 * default.exponent
-
     def test_separator_alphabet_is_joint_alphabet(self):
         for seed in (0, 2, 3, 5):
             pair = random_net_pair(seed)
@@ -271,19 +267,25 @@ class TestSeparate:
                 pair.n2.alphabet
             )
 
-    def test_digests_identify_inputs(self):
+    def test_digests_identify_inputs(self, tmp_path):
+        # the CLI hashes the two nets where it writes provenance.json
         n1, n2 = make_worked_pair()
-        bundle = separate(n1, n2)
-        assert bundle.n1_digest == net_digest(n1)
-        assert bundle.n2_digest == net_digest(n2)
-        assert bundle.n1_digest != bundle.n2_digest
+        p1, p2, out = (str(tmp_path / name) for name in ("1.net", "2.net", "out"))
+        save_net(n1, p1)
+        save_net(n2, p2)
+        assert main(["separate", p1, p2, "-o", out]) == 0
+        prov = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        assert prov["n1_digest"] == net_digest(n1)
+        assert prov["n2_digest"] == net_digest(n2)
+        assert prov["n1_digest"] != prov["n2_digest"]
 
     def test_bundle_certificate_matches_pipeline(self):
         n1, n2 = make_worked_pair()
         bundle = separate(n1, n2)
         w_det = identity_labeled(n2)
         w = label_expand(n1, n2)
-        expected = invariant_from_backward(product(w, w_det))
+        prod = product(w, w_det)
+        expected = invariant_from_backward(prod, prestar_basis(prod))
         assert bundle.certificate.down == expected.down
         assert bundle.basis == expected.source_basis
 

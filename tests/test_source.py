@@ -106,10 +106,39 @@ def test_no_comprehension_over_zip():
     assert found == []
 
 
+def _names_bool(node: ast.AST) -> bool:
+    # `isinstance(x, bool)` or `isinstance(x, (..., bool, ...))`
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+
+
+def test_one_count_rule():
+    # `bool` is a subclass of `int`, so a count check must rule it out;
+    # `config.is_count` is the one predicate that does
+    found = []
+    for name, tree in _modules():
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found += [
+            f"{name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if _names_bool(node)
+        ]
+    assert found == ["config.py:is_count"]
+
+
 # exports that no module of the package uses, each kept for a reason
 UNUSED_EXPORTS = {
     "member": "word membership of an automaton; the acceptance gate checks with it",
-    "net_size": "the paper's measure of the size of a net",
     "pred_basis": "the predecessor formula in public form, checked against brute force",
 }
 

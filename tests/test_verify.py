@@ -111,7 +111,7 @@ class TestBoundedLanguage:
             initial=(0, 0),
             final=(5, 5),
         )
-        tight = Settings(sample_maxlen_cap=10, node_budget=10, bound_constant=4)
+        tight = Settings(sample_maxlen_cap=10, node_budget=10)
         with pytest.raises(BudgetExceededError):
             bounded_language(net, 8, tight)
 
