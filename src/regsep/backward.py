@@ -49,8 +49,8 @@ def forward_cover(
     """The maximal ideals of the downward closure of the reachable set, by a
     FIFO Karp-Miller exploration (JCSS 1969): a successor above an ancestor
     on its path gets OMEGA where it exceeds it, and one below a kept label
-    is a leaf.  Returns None once more than `limit` nodes are kept; raises
-    BudgetExceededError once more than `settings.node_budget` are."""
+    is a leaf.  Returns None once more than `limit` nodes are kept, else
+    raises BudgetExceededError once more than `settings.node_budget` are."""
     kept = IdealAntichain([net.initial])
     queue = deque([(net.initial, None)])  # (label, parent node)
     nodes = 1
@@ -68,11 +68,11 @@ def forward_cover(
                     y = tuple(map(lambda x, z: z if x == z else OMEGA, a, y))
             if kept.add(y):
                 nodes += 1
+                if limit is not None and nodes > limit:
+                    return None
                 if nodes > settings.node_budget:
                     raise BudgetExceededError(f"forward cover kept over {settings.node_budget} "
                                               f"nodes, {len(kept)} maximal ideals so far")
-                if limit is not None and nodes > limit:
-                    return None
                 queue.append((y, node))
     return kept
 
@@ -83,7 +83,8 @@ def saturate(
     back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
     settings: Settings = DEFAULT,
     prune_after: int | None = None,
-) -> tuple[defaultdict[Hashable, Antichain], dict, int]:
+    _refuse: bool = False,
+) -> tuple[defaultdict[Hashable, Antichain], dict, int] | None:
     """FIFO backward saturation over (control state, marking) nodes, from
     the final marking at every root state.  Expanding (q, v), each transition
     t offers v's minimal t-predecessor to the antichain of every state in
@@ -103,7 +104,12 @@ def saturate(
     many), and from then on offers no predecessor outside it.  This is exact
     however late it starts: markings below a coverable one are coverable and
     uncoverable ones have only uncoverable predecessors, so the coverable
-    nodes, their order and their parents are the unpruned run's."""
+    nodes, their order and their parents are the unpruned run's.
+
+    With `_refuse` (one state only), a cover that holds the final marking
+    proves it coverable, since Karp-Miller acceleration adds no marking that
+    no run covers, and saturate returns None; any other cover is dropped, so
+    the search runs unpruned to the exact fixpoint."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
@@ -121,6 +127,10 @@ def saturate(
         if prune_after is not None and len(parents) >= prune_after:
             cover = forward_cover(net, settings, len(parents))
             prune_after = None if cover is not None else 4 * len(parents)
+            if _refuse and cover is not None:
+                if cover.below(net.final):
+                    return None
+                cover = None
         node = q, v = queue.popleft()
         if v not in chains[q]:
             continue  # evicted while waiting
@@ -156,20 +166,38 @@ def saturate(
     return chains, parents, iterations
 
 
-def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult:
-    """Saturate the minimal basis of the markings that can cover the final
-    one: the one-state case of `saturate`, unpruned: the separator uses it."""
-    back = {(None, t.label): (None,) for t in net.transitions}
-    chains, _, iterations = saturate(net, (None,), back, settings)
+def _one_state(net: LabeledPetriNet) -> dict:
+    """`saturate`'s `back` map for one state that every transition keeps."""
+    return {(None, t.label): (None,) for t in net.transitions}
+
+
+def _basis_result(net: LabeledPetriNet, saturation: tuple) -> BackwardResult:
+    chains, _, iterations = saturation
     basis = UpSet(net.dimension, tuple(sorted(chains[None])))
     return BackwardResult(basis, iterations, member_up(net.initial, basis))
+
+
+def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult:
+    """Saturate the minimal basis of the markings that can cover the final
+    one: the one-state case of `saturate`, unpruned."""
+    return _basis_result(net, saturate(net, (None,), _one_state(net), settings))
+
+
+def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult | None:
+    """`prestar_basis(net)` if the final marking is not coverable, else None,
+    as soon as the forward cover holds the final marking (see `saturate`);
+    the separator's saturation."""
+    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, _refuse=True)
+    if saturation is None:
+        return None
+    result = _basis_result(net, saturation)
+    return None if result.coverable else result
 
 
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff some firing sequence from the initial marking covers the final
     one: the one-state case of `saturate`, pruned (see there)."""
-    back = {(None, t.label): (None,) for t in net.transitions}
-    chains, _, _ = saturate(net, (None,), back, settings, PRUNE_AFTER)
+    chains, _, _ = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER)
     return any(omega_leq(b, net.initial) for b in chains[None])
 
 

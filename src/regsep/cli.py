@@ -62,8 +62,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     n1 = fileio.load_net(args.net1)
     n2 = fileio.load_net(args.net2)
     prod = product(n1, n2)
-    result = backward.prestar_basis(prod, args.settings)
-    if result.coverable:
+    result = backward.uncoverable_basis(prod, args.settings)
+    if result is None:
         print("COVERABLE: the product accepts a word, no inductive invariant exists")
         return EXIT_PROPERTY_FAILED
     cert = invariant.invariant_from_backward(prod, result, args.settings)

@@ -2,7 +2,7 @@
 
 The config path can be overridden with the REGSEP_CONFIG environment
 variable.  Unknown keys are rejected so typos do not silently fall back
-to defaults.
+to defaults; so are repeated keys, of which `json` would keep the last.
 """
 
 from __future__ import annotations
@@ -30,6 +30,17 @@ def is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`object_pairs_hook` for `json.load`: the object as a dict, or
+    InputError on a repeated key, which `json` would silently keep last."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_settings(path: str | None = None) -> Settings:
     """Load settings from `path`, the REGSEP_CONFIG env var, or defaults."""
     if path is None:
@@ -38,8 +49,8 @@ def load_settings(path: str | None = None) -> Settings:
         return DEFAULT
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")

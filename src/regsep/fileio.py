@@ -3,7 +3,7 @@
 Vectors are serialized as maps from place name to count, omitting zeros;
 the unbounded coordinate is serialized as the string "w".  Serialization is
 sorted and deterministic so identical inputs yield identical bytes.
-Unknown fields are rejected.
+Unknown fields and repeated keys are rejected.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .automata import Nfa
-from .config import is_count
+from .config import is_count, unique_keys
 from .errors import InputError
 from .ideals import OMEGA, Coord, OmegaMarking
 from .petri import LabeledPetriNet, Transition
@@ -199,8 +199,8 @@ def dumps_canonical(obj: Any) -> str:
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

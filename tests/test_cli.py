@@ -16,7 +16,7 @@ from regsep.cli import (
     main,
 )
 from regsep.fileio import load_automaton, net_to_dict, save_net
-from regsep.generators import last_letter_pair, random_net_pair
+from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 
 from .conftest import make_worked_pair
@@ -91,6 +91,18 @@ class TestInvariant:
     def test_coverable_product(self, worked_files):
         p1, _ = worked_files
         assert main(["invariant", p1, p1]) == EXIT_PROPERTY_FAILED
+
+    def test_coverable_product_refused_from_the_cover(self, tmp_path, monkeypatch, capsys):
+        # saturating this product to its fixpoint keeps 1,200 nodes; the
+        # forward cover proves it coverable once the search keeps 68
+        path = tmp_path / "n.net"
+        save_net(last_letter_net(0, 4), str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 100}')
+        monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
+        assert main(["invariant", str(path), str(path)]) == EXIT_PROPERTY_FAILED
+        out = capsys.readouterr().out
+        assert out == "COVERABLE: the product accepts a word, no inductive invariant exists\n"
 
     def test_complement_budget_from_environment(self, tmp_path, monkeypatch, capsys):
         # the saturation fits in 31 nodes, the complement needs 32 ideals
@@ -321,3 +333,30 @@ class TestGenerators:
 
         assert load_net(f"{prefix}_1.net") == pair.n1
         assert load_net(f"{prefix}_2.net") == pair.n2
+
+
+class TestDuplicateKeys:
+    """`json` keeps the last of two equal keys; the loaders refuse them."""
+
+    def test_net_with_two_initial_markings_exits_2(self, tmp_path, capsys):
+        text = json.dumps(net_to_dict(make_worked_pair()[0]))
+        path = tmp_path / "twice.net"
+        path.write_text(text[:-1] + ', "initial": {"p": 5}}')
+        assert main(["cover", str(path)]) == EXIT_INPUT_ERROR
+        assert "duplicate key 'initial'" in capsys.readouterr().err
+
+    def test_automaton_annotating_a_state_twice_exits_2(self, worked_files, tmp_path, capsys):
+        path = tmp_path / "twice.aut"
+        path.write_text(
+            '{"states": ["q"], "alphabet": ["a"], "initial": ["q"], "final": [],'
+            ' "transitions": [], "annotation_places": ["p"],'
+            ' "annotations": {"q": {"p": 1}, "q": {"p": 3}}}'
+        )
+        assert main(["verify", *worked_files, str(path)]) == EXIT_INPUT_ERROR
+        assert "duplicate key 'q'" in capsys.readouterr().err
+
+    def test_config_with_a_repeated_key_exits_2(self, worked_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 1, "node_budget": 500000}')
+        assert main(["--config", str(cfg), "cover", worked_files[0]]) == EXIT_INPUT_ERROR
+        assert "duplicate key 'node_budget'" in capsys.readouterr().err

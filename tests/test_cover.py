@@ -6,7 +6,9 @@ saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order.  The cover a saturation
 computes is limited by the nodes the saturation keeps, so a net with a huge
-cover costs no more than its search.
+cover costs no more than its search.  The separator's saturation takes a
+verdict from the cover instead of pruning: it must refuse exactly the
+coverable nets and return the unpruned basis on the others.
 """
 
 from __future__ import annotations
@@ -18,10 +20,18 @@ import pytest
 
 from regsep import backward
 from regsep.automata import Nfa, complement, determinize, minimize
-from regsep.backward import PRUNE_AFTER, coverable, disjoint, forward_cover, prestar_basis, saturate
+from regsep.backward import (
+    PRUNE_AFTER,
+    coverable,
+    disjoint,
+    forward_cover,
+    prestar_basis,
+    saturate,
+    uncoverable_basis,
+)
 from regsep.cli import EXIT_BUDGET_EXCEEDED, EXIT_OK, main
 from regsep.config import DEFAULT, Settings
-from regsep.errors import BudgetExceededError
+from regsep.errors import BudgetExceededError, NotDisjointError
 from regsep.fileio import save_net
 from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA
@@ -32,6 +42,7 @@ from regsep.verify import verify_separator
 from .conftest import candidate_nfa
 from .oracles import bfs_cover, naive_member_down, random_nfa, reachable_markings
 from .test_antichain import _back, random_products
+from .test_corpus import BOTH_NONEMPTY
 
 
 def one_state_back(net) -> dict:
@@ -175,6 +186,18 @@ class TestCoverBudget:
         assert list(forward_cover(net, DEFAULT, len(cover))) == list(cover)
         assert forward_cover(net, DEFAULT, len(cover) - 1) is None
 
+    def test_limit_is_checked_before_the_budget(self):
+        # a saturation limits its cover to the nodes it keeps, which may be
+        # its whole budget: running past both is the limit, not an error
+        n = last_letter_net(0, 6)
+        net = product(label_expand(n, n), identity_labeled(n))
+        assert forward_cover(net, Settings(node_budget=64), 64) is None
+        # the search keeps 68 nodes when it first computes the cover, which
+        # does not fit in 68; the search itself then runs out of budget
+        for search in (coverable, uncoverable_basis):
+            with pytest.raises(BudgetExceededError, match="saturation kept over 68 nodes"):
+                search(net, Settings(node_budget=68))
+
     def test_cli_disjoint_budget_counts_the_search_only(self, tmp_path, monkeypatch, capsys):
         # the pruned search of the last-letter k=3 product keeps 68 nodes; the
         # cover it computes is limited to the nodes kept, so it never runs
@@ -223,23 +246,24 @@ STARTS_WITH_B_NFA = Nfa(
 )
 
 
+@pytest.fixture
+def covers(monkeypatch):
+    calls = []  # (limit, whether a cover came back)
+    cover = backward.forward_cover
+
+    def spy(net, settings=DEFAULT, limit=None):
+        result = cover(net, settings, limit)
+        calls.append((limit, result is not None))
+        return result
+
+    monkeypatch.setattr(backward, "forward_cover", spy)
+    return calls
+
+
 class TestLargeCovers:
     """The runs of `token_chain(300, ...)` never start with b, and its
     complete cover holds about 45,000 ideals; computing the cover in full
     took 53 s already for `token_chain(150, 1)`."""
-
-    @pytest.fixture
-    def covers(self, monkeypatch):
-        calls = []  # (limit, whether a cover came back)
-        cover = backward.forward_cover
-
-        def spy(net, settings=DEFAULT, limit=None):
-            result = cover(net, settings, limit)
-            calls.append((limit, result is not None))
-            return result
-
-        monkeypatch.setattr(backward, "forward_cover", spy)
-        return calls
 
     def test_small_search_computes_no_cover(self, covers):
         net = token_chain(300, 1)
@@ -257,6 +281,68 @@ class TestLargeCovers:
         # STARTS_WITH_B cannot move, so its cover is one ideal
         assert covers == [(64, False), (66, True), (64, False), (256, False)]
         assert not coverable(replace(net, initial=(19, 0, 0)))
+
+
+def separation_pairs():
+    """(name, n1, n2): last-letter self pairs k=1..8, whose products are
+    coverable and whose covers need the 4x retry from k=6 on, last-letter
+    pairs k=1..6, the `BOTH_NONEMPTY` corpus and the random pairs of seeds
+    0-199, overlapping ones included; the disjoint corpus of `conftest` is
+    the first 50 disjoint ones among seeds 0-56."""
+    for k in range(1, 9):
+        n = last_letter_net(0, k)
+        yield f"self-k{k}", n, n
+    for k in range(1, 7):
+        yield (f"last-letter-k{k}", *last_letter_pair(k))
+    for (places, transitions), seeds in BOTH_NONEMPTY.items():
+        for seed in seeds:
+            pair = random_net_pair(seed, places, transitions, norm=3)
+            yield f"both-nonempty-{places}-{transitions}-{seed}", pair.n1, pair.n2
+    for seed in range(200):
+        pair = random_net_pair(seed)
+        yield f"random-{seed}", pair.n1, pair.n2
+
+
+class TestUncoverableBasis:
+    """`separate` refuses exactly the pairs whose product the unpruned
+    `prestar_basis` finds coverable, and otherwise keeps its basis."""
+
+    def test_separate_against_unpruned_basis(self, covers):
+        refused_by_cover = retried = exact_after_cover = overlapping = 0
+        for name, n1, n2 in separation_pairs():
+            prod = product(label_expand(n1, n2), identity_labeled(n2))
+            expected = prestar_basis(prod)
+            covers.clear()
+            got = uncoverable_basis(prod)
+            if expected.coverable:
+                assert got is None, name
+                overlapping += 1
+                refused_by_cover += bool(covers)
+                retried += len(covers) > 1
+                with pytest.raises(NotDisjointError):
+                    separate(n1, n2)
+            else:
+                assert got == expected, name  # basis, iterations and verdict
+                exact_after_cover += bool(covers)
+                assert separate(n1, n2).basis == expected.basis, name
+        assert refused_by_cover == 8 and retried == 3
+        assert exact_after_cover == 17 and overlapping == 37
+
+    def test_refusal_expands_under_half_the_fixpoint(self, monkeypatch):
+        expanded = set()
+        pred = backward._pred
+
+        def recording(v, pre, post):
+            expanded.add(v)
+            return pred(v, pre, post)
+
+        monkeypatch.setattr(backward, "_pred", recording)
+        n = last_letter_net(0, 4)
+        net = product(label_expand(n, n), identity_labeled(n))
+        assert prestar_basis(net).iterations == len(expanded) == 364
+        expanded.clear()
+        assert uncoverable_basis(net) is None
+        assert len(expanded) < 364 / 2
 
 
 class TestLowerBoundBeyondCriterion7:

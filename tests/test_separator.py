@@ -7,7 +7,7 @@ import json
 import pytest
 
 from regsep.automata import complement, determinize, member, minimize, relabel, widen_alphabet
-from regsep.backward import prestar_basis
+from regsep.backward import prestar_basis, saturate
 from regsep.cli import main, net_digest
 from regsep.errors import NotDisjointError
 from regsep.fileio import save_net
@@ -213,12 +213,12 @@ class TestSeparate:
     def test_saturates_once(self, monkeypatch):
         calls = []
 
-        def counting(net, *args):
+        def counting(net, *args, **kwargs):
             calls.append(net)
-            return prestar_basis(net, *args)
+            return saturate(net, *args, **kwargs)
 
-        for module in ("backward", "separator"):
-            monkeypatch.setattr(f"regsep.{module}.prestar_basis", counting)
+        for module in ("backward", "automata"):
+            monkeypatch.setattr(f"regsep.{module}.saturate", counting)
         n1, n2 = make_worked_pair()
         separate(n1, n2)
         assert len(calls) == 1
