@@ -230,7 +230,8 @@ def net_automaton_intersection_witness(
     state.  Saturation starts from every (final state, final marking) pair;
     a pair (initial state, m) with m below the initial marking witnesses a
     word in the intersection, replayed forward from the recorded chain.
-    The search is pruned by the net's forward cover (see `saturate`).
+    The search is pruned by the net's forward cover, and ends once that
+    cover misses the final marking (see `saturate`).
     """
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:

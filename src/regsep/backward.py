@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import add, le, sub
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import Hashable, Literal, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
@@ -83,7 +83,7 @@ def saturate(
     back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
     settings: Settings = DEFAULT,
     prune_after: int | None = None,
-    _refuse: bool = False,
+    _search: Literal["witness", "decision", "basis"] = "witness",
 ) -> tuple[defaultdict[Hashable, Antichain], dict, int] | None:
     """FIFO backward saturation over (control state, marking) nodes, from
     the final marking at every root state.  Expanding (q, v), each transition
@@ -101,15 +101,17 @@ def saturate(
 
     With `prune_after` n, once n nodes are kept the search computes
     `forward_cover(net)`, limited to as many nodes (retried at four times as
-    many), and from then on offers no predecessor outside it.  This is exact
-    however late it starts: markings below a coverable one are coverable and
-    uncoverable ones have only uncoverable predecessors, so the coverable
-    nodes, their order and their parents are the unpruned run's.
-
-    With `_refuse` (one state only), a cover that holds the final marking
-    proves it coverable, since Karp-Miller acceleration adds no marking that
-    no run covers, and saturate returns None; any other cover is dropped, so
-    the search runs unpruned to the exact fixpoint."""
+    many).  A complete cover holds the final marking iff it is coverable:
+    it holds every reachable marking, and Karp-Miller acceleration adds
+    none that no run covers.  A cover that holds it prunes a "witness"
+    `_search`: no predecessor outside it is offered from then on.  This is
+    exact however late it starts: markings below a coverable one are
+    coverable and uncoverable ones have only uncoverable predecessors, so
+    the coverable nodes, their order and their parents are the unpruned
+    run's.  A "decision" or "basis" search (one state only) returns None.
+    A cover that misses it is dropped in a "basis" search, which runs
+    unpruned to the exact fixpoint, and otherwise ends the search: no kept
+    node is coverable, so none lies below the initial marking."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
@@ -127,10 +129,14 @@ def saturate(
         if prune_after is not None and len(parents) >= prune_after:
             cover = forward_cover(net, settings, len(parents))
             prune_after = None if cover is not None else 4 * len(parents)
-            if _refuse and cover is not None:
+            if cover is not None:
                 if cover.below(net.final):
-                    return None
-                cover = None
+                    if _search != "witness":
+                        return None  # the final marking is coverable
+                elif _search == "basis":
+                    cover = None
+                else:
+                    break  # the final marking is not coverable
         node = q, v = queue.popleft()
         if v not in chains[q]:
             continue  # evicted while waiting
@@ -187,7 +193,7 @@ def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Bac
     """`prestar_basis(net)` if the final marking is not coverable, else None,
     as soon as the forward cover holds the final marking (see `saturate`);
     the separator's saturation."""
-    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, _refuse=True)
+    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, "basis")
     if saturation is None:
         return None
     result = _basis_result(net, saturation)
@@ -196,13 +202,15 @@ def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Bac
 
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff some firing sequence from the initial marking covers the final
-    one: the one-state case of `saturate`, pruned (see there)."""
-    chains, _, _ = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER)
-    return any(omega_leq(b, net.initial) for b in chains[None])
+    one: the one-state case of `saturate`, answered by the first complete
+    forward cover once the search keeps `PRUNE_AFTER` nodes (see there)."""
+    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, "decision")
+    return saturation is None or any(omega_leq(b, net.initial) for b in saturation[0][None])
 
 
 def disjoint(n1: LabeledPetriNet, n2: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
-    """True iff the coverability languages of the two nets do not intersect."""
+    """True iff the coverability languages of the two nets do not intersect:
+    `coverable` on their product."""
     return not coverable(product(n1, n2), settings)
 
 

@@ -32,7 +32,8 @@ def verify_separator(
 
     Both checks reduce to coverability on a synchronized encoding; failures
     come with a concrete witness word.  Both witness searches are pruned by
-    the net's forward cover (see `backward.saturate`); `separate` is not.
+    the net's forward cover, or end at one that shows the net's language
+    empty (see `backward.saturate`); `separate` is not.
     """
     sigma = set(n1.alphabet) | set(n2.alphabet)
     if set(b.alphabet) != sigma:

@@ -6,9 +6,13 @@ saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order.  The cover a saturation
 computes is limited by the nodes the saturation keeps, so a net with a huge
-cover costs no more than its search.  The separator's saturation takes a
-verdict from the cover instead of pruning: it must refuse exactly the
-coverable nets and return the unpruned basis on the others.
+cover costs no more than its search.  A decision answers from the first
+complete cover, and a witness search ends at one that misses the final
+marking: neither expands a node after it.  The separator's saturation
+takes a verdict from the cover instead of pruning: it must refuse exactly
+the coverable nets and return the unpruned basis on the others.  The
+complete cover of a disjoint pair's product is itself an inductive
+invariant, inside the complement of the backward basis.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from regsep import backward
-from regsep.automata import Nfa, complement, determinize, minimize
+from regsep.automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
 from regsep.backward import (
     PRUNE_AFTER,
     coverable,
@@ -34,7 +38,8 @@ from regsep.config import DEFAULT, Settings
 from regsep.errors import BudgetExceededError, NotDisjointError
 from regsep.fileio import save_net
 from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
-from regsep.ideals import OMEGA
+from regsep.ideals import OMEGA, DownSet, complement_upset
+from regsep.invariant import check_invariant
 from regsep.petri import LabeledPetriNet, Transition, identity_labeled, label_expand, product
 from regsep.separator import separate
 from regsep.verify import verify_separator
@@ -166,6 +171,40 @@ class TestPrunedCoverable:
         for net in (product(*last_letter_pair(k)), product(label_expand(n, n), identity_labeled(n))):
             assert coverable(net) == prestar_basis(net).coverable
 
+    def test_separation_pairs(self, covers):
+        """Each pair's product and both its nets.  A search that completes
+        a cover answers from it, whether it holds the final marking or not."""
+        from_cover = {True: 0, False: 0}
+        for name, n1, n2 in separation_pairs():
+            for net in (product(n1, n2), n1, n2):
+                covers.clear()
+                verdict = coverable(net)
+                assert verdict == prestar_basis(net).coverable, name
+                if any(complete for _, complete in covers):
+                    from_cover[verdict] += 1
+        assert from_cover == {True: 16, False: 17}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_disjoint_expands_no_node_after_the_cover(self, k, covers, preds_after_cover):
+        assert disjoint(*last_letter_pair(k))
+        assert covers == [(68, True)]
+        assert preds_after_cover and not any(preds_after_cover)
+
+    def test_witness_search_ends_when_the_cover_misses(self, covers, preds_after_cover):
+        # a disjoint pair's product has an empty language; against the
+        # automaton of every word it searches like `disjoint`
+        net = product(*last_letter_pair(3))
+        every_word = Nfa(
+            states=("q",),
+            alphabet=net.alphabet,
+            transitions=tuple(("q", a, "q") for a in net.alphabet),
+            initial=frozenset({"q"}),
+            final=frozenset({"q"}),
+        )
+        assert net_automaton_intersection_witness(net, every_word) is None
+        assert covers == [(68, True)]
+        assert preds_after_cover and not any(preds_after_cover)
+
 
 class TestCoverBudget:
     def test_raises_past_node_budget(self):
@@ -260,6 +299,21 @@ def covers(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def preds_after_cover(monkeypatch, covers):
+    """One entry per predecessor computed: whether a complete cover came
+    before it."""
+    calls = []
+    pred = backward._pred
+
+    def recording(v, pre, post):
+        calls.append(any(complete for _, complete in covers))
+        return pred(v, pre, post)
+
+    monkeypatch.setattr(backward, "_pred", recording)
+    return calls
+
+
 class TestLargeCovers:
     """The runs of `token_chain(300, ...)` never start with b, and its
     complete cover holds about 45,000 ideals; computing the cover in full
@@ -343,6 +397,28 @@ class TestUncoverableBasis:
         expanded.clear()
         assert uncoverable_basis(net) is None
         assert len(expanded) < 364 / 2
+
+
+class TestCoverIsAnInvariant:
+    def test_disjoint_products(self):
+        """On the separator's product of each disjoint pair (last-letter
+        k=1..5, `BOTH_NONEMPTY` and the random seeds), the complete cover
+        passes the three invariant checks and lies below the greatest
+        invariant, the complement of the backward basis."""
+        checked = 0
+        for name, n1, n2 in separation_pairs():
+            if name.startswith("self-") or name == "last-letter-k6":
+                continue
+            prod = product(label_expand(n1, n2), identity_labeled(n2))
+            basis = prestar_basis(prod)
+            if basis.coverable:
+                continue
+            cover = DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
+            assert check_invariant(prod, cover).passed, name
+            greatest = complement_upset(basis.basis).ideals
+            assert all(naive_member_down(u, greatest) for u in cover.ideals), name
+            checked += 1
+        assert checked == 198
 
 
 class TestLowerBoundBeyondCriterion7:
