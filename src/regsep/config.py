@@ -1,15 +1,19 @@
-"""Runtime caps, loadable from an optional JSON config file.
+"""Runtime caps, and the rules every JSON input goes through.
 
-The config path can be overridden with the REGSEP_CONFIG environment
-variable.  Unknown keys are rejected so typos do not silently fall back
-to defaults; so are repeated keys, of which `json` would keep the last.
+Nets, automata and the optional config file are all read by `read_json`
+and their objects checked by `check_keys`.  Unknown keys are rejected so
+typos do not silently fall back to defaults; so are repeated keys, of
+which `json` would keep the last.  The config path can be overridden with
+the REGSEP_CONFIG environment variable.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Collection
 from dataclasses import dataclass, fields
+from typing import Any
 
 from .errors import InputError
 
@@ -41,23 +45,40 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def load_settings(path: str | None = None) -> Settings:
-    """Load settings from `path`, the REGSEP_CONFIG env var, or defaults."""
-    if path is None:
-        path = os.environ.get(ENV_VAR)
-    if path is None:
-        return DEFAULT
+def read_json(path: str, kind: str) -> Any:
+    """The JSON value in the `kind` file at `path`; InputError if it cannot
+    be opened or parsed, or repeats a key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError, InputError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+
+
+def check_keys(
+    raw: Any, kind: str, required: Collection[str] = (), optional: Collection[str] = ()
+) -> None:
+    """InputError unless `raw` is an object with every `required` key and no
+    key outside `required` and `optional`."""
     if not isinstance(raw, dict):
-        raise InputError("config must be a JSON object")
-    known = {f.name for f in fields(Settings)}
-    unknown = set(raw) - known
+        raise InputError(f"{kind} must be a JSON object")
+    unknown = set(raw).difference(required, optional)
     if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
+        raise InputError(f"unknown {kind} keys: {sorted(unknown)}")
+    missing = set(required).difference(raw)
+    if missing:
+        raise InputError(f"missing {kind} keys: {sorted(missing)}")
+
+
+def load_settings(path: str | None = None) -> Settings:
+    """Load settings from `path`, the REGSEP_CONFIG env var, or defaults;
+    an empty REGSEP_CONFIG counts as unset."""
+    if path is None:
+        path = os.environ.get(ENV_VAR) or None
+    if path is None:
+        return DEFAULT
+    raw = read_json(path, "config")
+    check_keys(raw, "config", optional=[f.name for f in fields(Settings)])
     for key, value in raw.items():
         if not is_count(value):
             raise InputError(f"config key {key} must be a non-negative integer")

@@ -3,7 +3,8 @@
 Vectors are serialized as maps from place name to count, omitting zeros;
 the unbounded coordinate is serialized as the string "w".  Serialization is
 sorted and deterministic so identical inputs yield identical bytes.
-Unknown fields and repeated keys are rejected.
+Files are read, and their objects checked for unknown, missing and
+repeated keys, by the rules in `config`.
 """
 
 from __future__ import annotations
@@ -12,22 +13,15 @@ import json
 from typing import Any
 
 from .automata import Nfa
-from .config import is_count, unique_keys
+from .config import check_keys, is_count, read_json
 from .errors import InputError
 from .ideals import OMEGA, Coord, OmegaMarking
 from .petri import LabeledPetriNet, Transition
 
 NET_FIELDS = {"places", "alphabet", "transitions", "initial", "final"}
 TRANSITION_FIELDS = {"name", "label", "pre", "post"}
-AUT_FIELDS = {
-    "states",
-    "alphabet",
-    "initial",
-    "final",
-    "transitions",
-    "annotations",
-    "annotation_places",
-}
+AUT_FIELDS = {"states", "alphabet", "initial", "final", "transitions"}
+ANNOTATION_FIELDS = {"annotations", "annotation_places"}
 
 
 def _check_count(value: Any, where: str) -> int:
@@ -88,14 +82,7 @@ def net_to_dict(net: LabeledPetriNet) -> dict[str, Any]:
 
 
 def net_from_dict(raw: Any) -> LabeledPetriNet:
-    if not isinstance(raw, dict):
-        raise InputError("net file must contain a JSON object")
-    unknown = set(raw) - NET_FIELDS
-    if unknown:
-        raise InputError(f"unknown net fields: {sorted(unknown)}")
-    missing = NET_FIELDS - set(raw)
-    if missing:
-        raise InputError(f"missing net fields: {sorted(missing)}")
+    check_keys(raw, "net", NET_FIELDS)
     places = _string_list(raw["places"], "places")
     alphabet = _string_list(raw["alphabet"], "alphabet")
     if not isinstance(raw["transitions"], list):
@@ -103,14 +90,7 @@ def net_from_dict(raw: Any) -> LabeledPetriNet:
     transitions = []
     for i, entry in enumerate(raw["transitions"]):
         where = f"transitions[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: expected an object")
-        unknown = set(entry) - TRANSITION_FIELDS
-        if unknown:
-            raise InputError(f"{where}: unknown fields {sorted(unknown)}")
-        missing = TRANSITION_FIELDS - set(entry)
-        if missing:
-            raise InputError(f"{where}: missing fields {sorted(missing)}")
+        check_keys(entry, where, TRANSITION_FIELDS)
         if not isinstance(entry["name"], str) or not isinstance(entry["label"], str):
             raise InputError(f"{where}: name and label must be strings")
         transitions.append(
@@ -147,15 +127,7 @@ def automaton_to_dict(a: Nfa) -> dict[str, Any]:
 
 
 def automaton_from_dict(raw: Any) -> Nfa:
-    if not isinstance(raw, dict):
-        raise InputError("automaton file must contain a JSON object")
-    unknown = set(raw) - AUT_FIELDS
-    if unknown:
-        raise InputError(f"unknown automaton fields: {sorted(unknown)}")
-    required = {"states", "alphabet", "initial", "final", "transitions"}
-    missing = required - set(raw)
-    if missing:
-        raise InputError(f"missing automaton fields: {sorted(missing)}")
+    check_keys(raw, "automaton", AUT_FIELDS, ANNOTATION_FIELDS)
     states = _string_list(raw["states"], "states")
     alphabet = _string_list(raw["alphabet"], "alphabet")
     if not isinstance(raw["transitions"], list):
@@ -196,16 +168,8 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except (OSError, json.JSONDecodeError, InputError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def load_net(path: str) -> LabeledPetriNet:
-    return net_from_dict(_load_json(path))
+    return net_from_dict(read_json(path, "net"))
 
 
 def save_net(net: LabeledPetriNet, path: str) -> None:
@@ -214,7 +178,7 @@ def save_net(net: LabeledPetriNet, path: str) -> None:
 
 
 def load_automaton(path: str) -> Nfa:
-    return automaton_from_dict(_load_json(path))
+    return automaton_from_dict(read_json(path, "automaton"))
 
 
 def save_automaton(a: Nfa, path: str) -> None:

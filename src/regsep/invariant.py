@@ -42,17 +42,9 @@ class BackwardBound:
     exponent: int
 
     def at_least(self, v: int) -> bool:
-        """True iff base**exponent >= v, without materializing huge powers."""
-        if v <= 0:
-            return True
-        if self.base <= 1 or self.exponent == 0:
-            return (1 if self.exponent == 0 else self.base) >= v
-        acc = 1
-        steps = 0
-        while acc < v and steps < self.exponent:
-            acc *= self.base
-            steps += 1
-        return acc >= v
+        """True iff base**exponent >= v, without materializing huge powers:
+        for base >= 2 an exponent past v's bit length cannot change the answer."""
+        return self.base ** min(self.exponent, v.bit_length()) >= v
 
 
 @dataclass

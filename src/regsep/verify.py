@@ -92,7 +92,8 @@ def bounded_language(
             nodes += len(kept)
             if nodes > settings.node_budget:
                 raise BudgetExceededError(
-                    f"bounded language exploration exceeded {settings.node_budget} nodes"
+                    f"bounded language exploration exceeded {settings.node_budget} nodes "
+                    f"at word length {length + 1}, {len(nxt)} words in the frontier"
                 )
             frontier[word] = kept
     return tuple(sorted(accepted, key=lambda w: (len(w), w)))

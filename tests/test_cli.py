@@ -360,3 +360,29 @@ class TestDuplicateKeys:
         cfg.write_text('{"node_budget": 1, "node_budget": 500000}')
         assert main(["--config", str(cfg), "cover", worked_files[0]]) == EXIT_INPUT_ERROR
         assert "duplicate key 'node_budget'" in capsys.readouterr().err
+
+
+class TestInputShapes:
+    """A value of the wrong JSON type where an object belongs exits 2 with one line."""
+
+    def _exits_2(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_automaton_file_holding_a_list(self, worked_files, tmp_path, capsys):
+        path = tmp_path / "list.aut"
+        path.write_text("[]")
+        self._exits_2(["verify", *worked_files, str(path)], capsys)
+
+    def test_config_file_holding_a_list(self, worked_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('[{"node_budget": 1}]')
+        self._exits_2(["--config", str(cfg), "cover", worked_files[0]], capsys)
+
+    def test_net_transition_that_is_not_an_object(self, tmp_path, capsys):
+        raw = net_to_dict(make_worked_pair()[0])
+        raw["transitions"][0] = ["t", "a", {}, {}]
+        path = tmp_path / "shape.net"
+        path.write_text(json.dumps(raw))
+        self._exits_2(["cover", str(path)], capsys)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from regsep.automata import Nfa
-from regsep.config import load_settings
+from regsep.config import DEFAULT, load_settings
 from regsep.errors import InputError
 from regsep.fileio import (
     automaton_from_dict,
@@ -237,3 +237,9 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(InputError):
             load_settings("/nonexistent/config.json")
+
+    def test_empty_env_var_is_unset(self, monkeypatch):
+        monkeypatch.setenv("REGSEP_CONFIG", "")
+        assert load_settings(None) == DEFAULT
+        with pytest.raises(InputError):
+            load_settings("")

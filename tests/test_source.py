@@ -136,6 +136,26 @@ def test_one_count_rule():
     assert found == ["config.py:is_count"]
 
 
+def test_one_json_reader():
+    # every JSON input must go through the repeated-key hook and the one
+    # error format, so `config.read_json` is the only caller of `json.load`
+    found = []
+    for name, tree in _modules():
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found += [
+            f"{name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ]
+    assert found == ["config.py:read_json"]
+
+
 # exports that no module of the package uses, each kept for a reason
 UNUSED_EXPORTS = {
     "member": "word membership of an automaton; the acceptance gate checks with it",

@@ -115,6 +115,26 @@ class TestBoundedLanguage:
         with pytest.raises(BudgetExceededError):
             bounded_language(net, 8, tight)
 
+    def test_node_budget_overflow_reports_progress(self):
+        # every word over {a, b} is a distinct frontier entry: 1 + 2 + 4 nodes
+        # fit in 10, and the 8 words of length 3 do not
+        net = LabeledPetriNet(
+            places=("p", "q"),
+            alphabet=("a", "b"),
+            transitions=(
+                Transition("t1", "a", (0, 0), (1, 0)),
+                Transition("t2", "b", (0, 0), (0, 1)),
+            ),
+            initial=(0, 0),
+            final=(5, 5),
+        )
+        tight = Settings(sample_maxlen_cap=10, node_budget=10)
+        with pytest.raises(
+            BudgetExceededError,
+            match="exceeded 10 nodes at word length 3, 8 words in the frontier",
+        ):
+            bounded_language(net, 8, tight)
+
     def test_matches_naive_enumeration_with_pruning(self):
         # maximal-marking pruning must not change the accepted word set
         net = LabeledPetriNet(
