@@ -9,7 +9,7 @@ so serialized artifacts are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .backward import PRUNE_AFTER, replay_chain, saturate
 from .config import DEFAULT, Settings
@@ -87,24 +87,22 @@ def _subset_name(subset: frozenset[str]) -> str:
     return "{" + ",".join(sorted(subset)) + "}"
 
 
-def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
-    """Subset construction; always yields a complete DFA (empty set as sink).
-    Raises BudgetExceededError once it holds more than `node_budget` subsets."""
-    table = a.successors()
-    start = frozenset(a.initial)
+def _subset_construction(
+    start: frozenset[str], step: Callable, alphabet: tuple[str, ...], settings: Settings
+) -> tuple[dict[frozenset[str], str], list[Edge]]:
+    """Breadth-first closure of `start` under `step(subset, letter)`: the
+    subsets' names in order, and one move (name, letter, step's name) per
+    letter.  Raises BudgetExceededError past `node_budget` subsets."""
     order: list[frozenset[str]] = [start]
     names = {start: _subset_name(start)}  # also the set of subsets seen
-    edges: list[Edge] = []
+    moves: list[Edge] = []
     i = 0
     while i < len(order):
         subset = order[i]
         name = names[subset]
         i += 1
-        for letter in a.alphabet:
-            target: set[str] = set()
-            for s in subset:
-                target |= table.get((s, letter), set())
-            tgt = frozenset(target)
+        for letter in alphabet:
+            tgt = step(subset, letter)
             if tgt not in names:
                 names[tgt] = _subset_name(tgt)
                 order.append(tgt)
@@ -112,18 +110,53 @@ def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
                     raise BudgetExceededError(
                         f"subset construction exceeded {settings.node_budget} subsets: "
                         f"reached {len(order)} after expanding {i}")
-            edges.append((name, letter, names[tgt]))
+            moves.append((name, letter, names[tgt]))
+    return names, moves
+
+
+def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
+    """Subset construction; always yields a complete DFA (empty set as sink).
+    Raises BudgetExceededError once it holds more than `node_budget` subsets."""
+    table = a.successors()
+
+    def post(subset: frozenset[str], letter: str) -> frozenset[str]:
+        return frozenset().union(*[table.get((s, letter), ()) for s in subset])
+
+    start = frozenset(a.initial)
+    names, edges = _subset_construction(start, post, a.alphabet, settings)
     sink = frozenset()
     if sink not in names:
         names[sink] = _subset_name(sink)
-        order.append(sink)
         edges.extend((names[sink], letter, names[sink]) for letter in a.alphabet)
     return Nfa(
-        states=tuple(names[s] for s in order),
+        states=tuple(names.values()),
         alphabet=a.alphabet,
         transitions=tuple(edges),
         initial=frozenset({names[start]}),
-        final=frozenset(names[s] for s in order if s & a.final),
+        final=frozenset(name for s, name in names.items() if s & a.final),
+    )
+
+
+def backward_complement(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
+    """Co-deterministic automaton for the complement of L(a): the subset
+    construction run backward from the non-final states by controllable
+    predecessors, {q : post(q, x) ⊆ S} for a letter x and subset S (De Wulf,
+    Doyen, Henzinger & Raskin, CAV 2006).  Edges run from that set to S, and
+    the initial states hold a.initial.  The states are as many as the
+    reversed language's DFA has; the budget is `determinize`'s."""
+    table = a.successors()
+
+    def cpre(subset: frozenset[str], letter: str) -> frozenset[str]:
+        return frozenset(q for q in a.states if table.get((q, letter), frozenset()) <= subset)
+
+    start = frozenset(a.states) - a.final
+    names, moves = _subset_construction(start, cpre, a.alphabet, settings)
+    return Nfa(
+        states=tuple(names.values()),
+        alphabet=a.alphabet,
+        transitions=tuple((p, letter, s) for s, letter, p in moves),
+        initial=frozenset(name for s, name in names.items() if a.initial <= s),
+        final=frozenset({names[start]}),
     )
 
 

@@ -1,10 +1,11 @@
-"""Exact separator verification and bounded enumeration of a net's language."""
+"""Exact separator verification (backward witness searches on the candidate
+and its backward complement) and bounded enumeration of a net's language."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
+from .automata import Nfa, backward_complement, net_automaton_intersection_witness
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
 from .ideals import IdealAntichain, Marking, ideal_fire
@@ -28,23 +29,26 @@ class SeparatorReport:
 def verify_separator(
     n1: LabeledPetriNet, n2: LabeledPetriNet, b: Nfa, settings: Settings = DEFAULT
 ) -> SeparatorReport:
-    """Exactly check that L(n1) avoids L(b) and L(n2) is contained in L(b).
+    """Exactly check that L(n1) avoids L(b) and L(n2) is contained in L(b),
+    with a witness word for each failure.
 
-    Both checks reduce to coverability on a synchronized encoding; failures
-    come with a concrete witness word.  Both witness searches are pruned by
-    the net's forward cover, or end at one that shows the net's language
-    empty (see `backward.saturate`); `separate` is not.
+    The backward witness searches want few predecessors per state and
+    letter: disjointness searches n1 against b, and containment n2 against
+    `backward_complement(b)`, which has one, and k+4 states for the
+    last-letter candidate whose minimal DFA has over 2^k.  The costly
+    direction is a prefix-shaped candidate: the k-th letter from the start
+    at k=10 takes 63-91 ms, and 4.5-7.8 ms on its minimal DFA (Python
+    3.11.7, 2 vCPUs).  Both searches are pruned by, or end at, the net's
+    forward cover (see `backward.saturate`).
     """
     sigma = set(n1.alphabet) | set(n2.alphabet)
     if set(b.alphabet) != sigma:
         raise InputError(
             f"alphabet mismatch: automaton has {sorted(b.alphabet)}, nets need {sorted(sigma)}"
         )
-    # minimizing first is language-preserving and keeps the synchronized
-    # coverability encodings small
-    dfa = minimize(determinize(b, settings))
-    w1 = net_automaton_intersection_witness(n1, dfa, settings)
-    w2 = net_automaton_intersection_witness(n2, complement(dfa), settings)
+    co_b = backward_complement(b, settings)
+    w1 = net_automaton_intersection_witness(n1, b, settings)
+    w2 = net_automaton_intersection_witness(n2, co_b, settings)
     return SeparatorReport(
         disjointness_ok=w1 is None,
         containment_ok=w2 is None,

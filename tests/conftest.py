@@ -1,5 +1,6 @@
-"""Shared fixtures: the worked example pair, the last-letter candidate NFAs,
-the automaton of all words and the random disjoint corpus."""
+"""Shared fixtures: the worked example pair, the last-letter candidate NFAs
+and their prefix-shaped mirror images, the automaton of all words and the
+random disjoint corpus."""
 
 from __future__ import annotations
 
@@ -37,6 +38,23 @@ def candidate_nfa(k: int, bit: int) -> Nfa:
     for i in range(1, k):
         edges += [(f"q{i}", "0", f"q{i + 1}"), (f"q{i}", "1", f"q{i + 1}")]
     edges.append((f"q{k}", "c", "f"))
+    return Nfa(
+        states=states,
+        alphabet=LAST_LETTER_ALPHABET,
+        transitions=tuple(edges),
+        initial=frozenset({"s0"}),
+        final=frozenset({"f"}),
+    )
+
+
+def prefix_candidate_nfa(k: int, bit: int) -> Nfa:
+    """NFA for c{0,1}^(k-1)<bit>{0,1}*c, the mirror image of `candidate_nfa`:
+    its reverse needs 2^k subsets."""
+    states = ("s0",) + tuple(f"q{i}" for i in range(1, k + 1)) + ("s1", "f")
+    edges = [("s0", "c", "q1"), (f"q{k}", str(bit), "s1"), ("s1", "0", "s1"), ("s1", "1", "s1")]
+    for i in range(1, k):
+        edges += [(f"q{i}", "0", f"q{i + 1}"), (f"q{i}", "1", f"q{i + 1}")]
+    edges.append(("s1", "c", "f"))
     return Nfa(
         states=states,
         alphabet=LAST_LETTER_ALPHABET,

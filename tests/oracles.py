@@ -11,8 +11,16 @@ import random
 from collections import deque
 from typing import Iterable, Sequence
 
-from regsep.automata import Nfa, is_complete_dfa
+from regsep.automata import (
+    Nfa,
+    complement,
+    determinize,
+    is_complete_dfa,
+    minimize,
+    net_automaton_intersection_witness,
+)
 from regsep.backward import BackwardResult, pred_basis, replay_chain
+from regsep.config import DEFAULT, Settings
 from regsep.errors import InputError
 from regsep.ideals import (
     OMEGA,
@@ -29,6 +37,7 @@ from regsep.ideals import (
 from regsep.invariant import InvariantCertificate, check_invariant
 from regsep.petri import LabeledPetriNet, injectively_labeled, product
 from regsep.separator import DEAD_STATE
+from regsep.verify import SeparatorReport
 
 Word = tuple[str, ...]
 
@@ -502,4 +511,31 @@ def two_pass_minimize(d: Nfa) -> Nfa:
         transitions=edges,
         initial=frozenset({name[block[start]]}),
         final=finals,
+    )
+
+
+def forward_verify_separator(
+    n1: LabeledPetriNet, n2: LabeledPetriNet, b: Nfa, settings: Settings = DEFAULT
+) -> SeparatorReport:
+    """Check that L(n1) avoids L(b) and L(n2) is contained in L(b) on the
+    candidate's minimal DFA: disjointness against the DFA, containment
+    against its complement.
+
+    This is the library's original verification, kept as the reference
+    for `regsep.verify.verify_separator`, which searches on `b` and on its
+    backward complement instead.
+    """
+    sigma = set(n1.alphabet) | set(n2.alphabet)
+    if set(b.alphabet) != sigma:
+        raise InputError(
+            f"alphabet mismatch: automaton has {sorted(b.alphabet)}, nets need {sorted(sigma)}"
+        )
+    dfa = minimize(determinize(b, settings))
+    w1 = net_automaton_intersection_witness(n1, dfa, settings)
+    w2 = net_automaton_intersection_witness(n2, complement(dfa), settings)
+    return SeparatorReport(
+        disjointness_ok=w1 is None,
+        containment_ok=w2 is None,
+        disjointness_witness=w1,
+        containment_witness=w2,
     )

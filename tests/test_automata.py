@@ -11,6 +11,7 @@ import pytest
 
 from regsep.automata import (
     Nfa,
+    backward_complement,
     complement,
     determinize,
     is_complete_dfa,
@@ -28,7 +29,7 @@ from regsep.ideals import OMEGA
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import candidate_nfa, make_worked_pair, universal_nfa
+from .conftest import candidate_nfa, make_worked_pair, prefix_candidate_nfa, universal_nfa
 from .oracles import all_words, naive_language, nfa_words, random_nfa, two_pass_minimize
 
 
@@ -140,23 +141,29 @@ class TestDeterminizeBudget:
     def test_separate_and_verify_pass_their_settings(self, monkeypatch):
         seen = []
 
-        def spy(a, settings=DEFAULT):
-            seen.append(settings)
-            return determinize(a, settings)
+        def spy(construction):
+            def spied(a, settings=DEFAULT):
+                seen.append(settings)
+                return construction(a, settings)
 
-        for module in ("separator", "verify"):
-            monkeypatch.setattr(f"regsep.{module}.determinize", spy)
+            return spied
+
+        monkeypatch.setattr("regsep.separator.determinize", spy(determinize))
+        monkeypatch.setattr("regsep.verify.backward_complement", spy(backward_complement))
         n1, n2 = make_worked_pair()
         roomy = Settings(node_budget=10_000)
         verify_separator(n1, n2, separate(n1, n2, roomy).separator, roomy)
         assert seen == [roomy, roomy]
 
     def test_verification_raises_in_subset_construction(self):
-        # the k=3 separator is minimal and never needs 50 subsets; this
-        # candidate's minimal DFA alone has 67 states
+        # the last-letter candidate needs only k+4 subsets backward; its
+        # prefix-shaped mirror image needs 67 at k=6
         n1, n2 = last_letter_pair(6)
-        with pytest.raises(BudgetExceededError, match="subset construction"):
-            verify_separator(n1, n2, candidate_nfa(6, 1), Settings(node_budget=50))
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"subset construction exceeded 50 subsets: reached 51 after expanding 27$",
+        ):
+            verify_separator(n1, n2, prefix_candidate_nfa(6, 1), Settings(node_budget=50))
 
 
 class TestComplement:
@@ -181,6 +188,37 @@ class TestComplement:
             accepted = nfa_words(dfa, 4)
             for w in all_words(a.alphabet, 4):
                 assert member(comp, w) == (w not in accepted)
+
+
+class TestBackwardComplement:
+    def test_language_is_complement_random(self):
+        rng = random.Random(16)
+        for _ in range(30):
+            a = random_nfa(rng)
+            co_a = backward_complement(a)
+            for w in all_words(a.alphabet, 6):
+                assert member(co_a, w) == (not member(a, w))
+
+    def test_one_predecessor_per_state_and_letter(self):
+        co_a = backward_complement(random_nfa(random.Random(17)))
+        into = [(r, letter) for _, letter, r in co_a.transitions]
+        assert len(into) == len(set(into)) == len(co_a.states) * len(co_a.alphabet)
+        assert len(co_a.final) == 1
+
+    def test_linear_on_last_letter_candidates(self):
+        # the forward minimal DFAs have 7, 11, 19, 35, 67 and 131 states
+        for k in range(2, 8):
+            for bit in (0, 1):
+                assert len(backward_complement(candidate_nfa(k, bit)).states) == k + 4
+
+    def test_linear_on_last_letter_separators(self):
+        minimal, backward = {}, {}
+        for k in range(2, 7):
+            sep = separate(*last_letter_pair(k)).separator
+            minimal[k] = len(minimize(determinize(sep)).states)
+            backward[k] = len(backward_complement(sep).states)
+        assert minimal == {2: 11, 3: 17, 4: 28, 5: 49, 6: 90}
+        assert backward == {k: 5 * k + 2 for k in range(2, 7)}
 
 
 class TestRelabel:

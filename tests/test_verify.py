@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsep.automata import Nfa
+from regsep.automata import Nfa, member
 from regsep.config import Settings
-from regsep.errors import BudgetExceededError, InputError
+from regsep.errors import BudgetExceededError, InputError, NotDisjointError
+from regsep.generators import last_letter_pair
 from regsep.ideals import IdealAntichain
 from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
-from regsep.verify import bounded_language, verify_separator
+from regsep.verify import SeparatorReport, bounded_language, verify_separator
 
-from .oracles import image_words, naive_language, naive_maximal
+from .conftest import candidate_nfa, prefix_candidate_nfa
+from .oracles import (
+    forward_verify_separator,
+    image_words,
+    naive_language,
+    naive_maximal,
+    random_nfa,
+)
+from .test_cover import separation_pairs
 
 
 def universal(alphabet: tuple[str, ...]) -> Nfa:
@@ -65,6 +77,65 @@ class TestVerifySeparator:
         n1, n2 = worked_pair
         with pytest.raises(InputError):
             verify_separator(n1, n2, universal(("a", "b")))
+
+
+def assert_same_verdicts(
+    n1: LabeledPetriNet, n2: LabeledPetriNet, b: Nfa, languages: dict
+) -> SeparatorReport:
+    """`verify_separator` and the forward oracle agree on both verdicts, and
+    every witness either finds is a word of its net on the wrong side of b;
+    `languages` caches `naive_language` per (net, length)."""
+    got = verify_separator(n1, n2, b)
+    want = forward_verify_separator(n1, n2, b)
+    assert (got.disjointness_ok, got.containment_ok) == (want.disjointness_ok, want.containment_ok)
+    for report in (got, want):
+        for word, net, in_b in (
+            (report.disjointness_witness, n1, True),
+            (report.containment_witness, n2, False),
+        ):
+            if word is not None:
+                key = (net, len(word))
+                if key not in languages:
+                    languages[key] = naive_language(net, len(word))
+                assert word in languages[key]
+                assert member(b, word) == in_b
+    return got
+
+
+class TestAgainstForwardVerification:
+    """The backward complement gives the verdicts of the candidate's minimal
+    DFA; witness words may differ, so each is checked on its own."""
+
+    def test_separation_pairs(self):
+        # separators of the disjoint pairs (last-letter k=1..6 and the
+        # `BOTH_NONEMPTY` corpus among them) and two random automata per
+        # pair, each against the pair and the swapped pair
+        rng = random.Random(16)
+        languages: dict = {}
+        verdicts = Counter()
+        for _name, n1, n2 in separation_pairs():
+            sigma = tuple(dict.fromkeys(n1.alphabet + n2.alphabet))
+            candidates = [random_nfa(rng, rng.randint(2, 6), sigma) for _ in range(2)]
+            try:
+                candidates.append(separate(n1, n2).separator)
+            except NotDisjointError:
+                pass
+            for b in candidates:
+                for x, y in ((n1, n2), (n2, n1)):
+                    report = assert_same_verdicts(x, y, b, languages)
+                    verdicts[report.disjointness_ok, report.containment_ok] += 1
+        assert verdicts == {
+            (True, True): 656, (True, False): 317, (False, True): 218, (False, False): 151
+        }
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_last_letter_candidates(self, k):
+        # only the bit-1 candidate of the last-letter shape separates the pair
+        n0, n1 = last_letter_pair(k)
+        languages: dict = {}
+        for shape in (candidate_nfa, prefix_candidate_nfa):
+            passed = [assert_same_verdicts(n0, n1, shape(k, bit), languages).passed for bit in (0, 1)]
+            assert passed == [False, shape is candidate_nfa]
 
 
 class TestBoundedLanguage:
