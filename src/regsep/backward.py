@@ -39,7 +39,8 @@ def pred_basis(net: LabeledPetriNet, v: Marking, t: str) -> Marking:
     return _pred(v, tr.pre, tr.post)
 
 
-# kept nodes before a decision or witness search first computes the cover
+# kept nodes before a witness search first computes the cover, and the
+# least limit of any search's first cover
 PRUNE_AFTER = 64
 
 
@@ -50,7 +51,10 @@ def forward_cover(
     FIFO Karp-Miller exploration (JCSS 1969): a successor above an ancestor
     on its path gets OMEGA where it exceeds it, and one below a kept label
     is a leaf.  Returns None once more than `limit` nodes are kept, else
-    raises BudgetExceededError once more than `settings.node_budget` are."""
+    raises BudgetExceededError once more than `settings.node_budget` are.
+    Transitions with the same pre and post vectors give one step, and a
+    step whose pre needs a place where u is 0 is skipped before it fires."""
+    steps = {(t.pre, t.post): Antichain._mask(t.pre) for t in net.transitions}  # first-seen order
     kept = IdealAntichain([net.initial])
     queue = deque([(net.initial, None)])  # (label, parent node)
     nodes = 1
@@ -58,9 +62,10 @@ def forward_cover(
         node = u, _ = queue.popleft()
         if u not in kept:
             continue  # evicted while waiting
-        for t in net.transitions:
-            if (y := ideal_fire(u, t.pre, t.post)) is None:
-                continue
+        support = Antichain._mask(u)
+        for (pre, post), mask in steps.items():
+            if mask & ~support or (y := ideal_fire(u, pre, post)) is None:
+                continue  # disabled on u
             up = node
             while up is not None:
                 a, up = up
@@ -100,18 +105,21 @@ def saturate(
     them for a smaller one, never through `drop`.
 
     With `prune_after` n, once n nodes are kept the search computes
-    `forward_cover(net)`, limited to as many nodes (retried at four times as
-    many).  A complete cover holds the final marking iff it is coverable:
-    it holds every reachable marking, and Karp-Miller acceleration adds
-    none that no run covers.  A cover that holds it prunes a "witness"
-    `_search`: no predecessor outside it is offered from then on.  This is
-    exact however late it starts: markings below a coverable one are
-    coverable and uncoverable ones have only uncoverable predecessors, so
-    the coverable nodes, their order and their parents are the unpruned
-    run's.  A "decision" or "basis" search (one state only) returns None.
-    A cover that misses it is dropped in a "basis" search, which runs
-    unpruned to the exact fixpoint, and otherwise ends the search: no kept
-    node is coverable, so none lies below the initial marking."""
+    `forward_cover(net)`, limited to as many nodes but at least
+    `PRUNE_AFTER` and at most the node budget, so only the saturation ever
+    runs out of budget; a cover past its limit is retried once four times
+    the limit are kept.  A complete cover holds the final marking iff it is
+    coverable: it holds every reachable marking, and Karp-Miller
+    acceleration adds none that no run covers.  A cover that holds it prunes
+    a "witness" `_search`: no predecessor outside it is offered from then
+    on.  This is exact however late it starts: markings below a coverable
+    one are coverable and uncoverable ones have only uncoverable
+    predecessors, so the coverable nodes, their order and their parents are
+    the unpruned run's.  A "decision" or "basis" search (one state only)
+    returns None.  A cover that misses it is dropped in a "basis" search,
+    which runs unpruned to the exact fixpoint, and otherwise ends the
+    search: no kept node is coverable, so none lies below the initial
+    marking."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
@@ -127,8 +135,9 @@ def saturate(
     iterations = 0
     while queue:
         if prune_after is not None and len(parents) >= prune_after:
-            cover = forward_cover(net, settings, len(parents))
-            prune_after = None if cover is not None else 4 * len(parents)
+            limit = min(max(len(parents), PRUNE_AFTER), settings.node_budget)
+            cover = forward_cover(net, settings, limit)
+            prune_after = None if cover is not None else 4 * limit
             if cover is not None:
                 if cover.below(net.final):
                     if _search != "witness":
@@ -192,8 +201,9 @@ def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Backwar
 def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult | None:
     """`prestar_basis(net)` if the final marking is not coverable, else None,
     as soon as the forward cover holds the final marking (see `saturate`);
-    the separator's saturation."""
-    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, "basis")
+    the separator's saturation.  The cover comes first, before any node is
+    expanded."""
+    saturation = saturate(net, (None,), _one_state(net), settings, 0, "basis")
     if saturation is None:
         return None
     result = _basis_result(net, saturation)
@@ -203,8 +213,8 @@ def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Bac
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff some firing sequence from the initial marking covers the final
     one: the one-state case of `saturate`, answered by the first complete
-    forward cover once the search keeps `PRUNE_AFTER` nodes (see there)."""
-    saturation = saturate(net, (None,), _one_state(net), settings, PRUNE_AFTER, "decision")
+    forward cover, which comes before any node is expanded (see there)."""
+    saturation = saturate(net, (None,), _one_state(net), settings, 0, "decision")
     return saturation is None or any(omega_leq(b, net.initial) for b in saturation[0][None])
 
 

@@ -21,12 +21,13 @@ from regsep.automata import (
 )
 from regsep.backward import BackwardResult, pred_basis, replay_chain
 from regsep.config import DEFAULT, Settings
-from regsep.errors import InputError
+from regsep.errors import BudgetExceededError, InputError
 from regsep.ideals import (
     OMEGA,
     Antichain,
     Coord,
     DownSet,
+    IdealAntichain,
     Marking,
     OmegaMarking,
     UpSet,
@@ -163,6 +164,40 @@ def bfs_cover(net: LabeledPetriNet) -> list[Marking]:
     """The maximal reachable markings of a bounded net, sorted: its
     coverability set, by exhaustive breadth-first reachability."""
     return sorted(naive_maximal(reachable_markings(net)))
+
+
+def per_transition_forward_cover(
+    net: LabeledPetriNet, settings: Settings = DEFAULT, limit: int | None = None
+) -> IdealAntichain | None:
+    """The Karp-Miller cover loop that fires every transition on every
+    node, as `regsep.backward.forward_cover` did before it merged the
+    transitions with equal pre and post vectors and skipped the ones whose
+    pre needs a place where the node is 0; kept as its reference, with the
+    same limit and budget."""
+    kept = IdealAntichain([net.initial])
+    queue = deque([(net.initial, None)])  # (label, parent node)
+    nodes = 1
+    while queue:
+        node = u, _ = queue.popleft()
+        if u not in kept:
+            continue  # evicted while waiting
+        for t in net.transitions:
+            if (y := ideal_fire(u, t.pre, t.post)) is None:
+                continue
+            up = node
+            while up is not None:
+                a, up = up
+                if all(x <= z for x, z in zip(a, y)):
+                    y = tuple(z if x == z else OMEGA for x, z in zip(a, y))
+            if kept.add(y):
+                nodes += 1
+                if limit is not None and nodes > limit:
+                    return None
+                if nodes > settings.node_budget:
+                    raise BudgetExceededError(f"forward cover kept over {settings.node_budget} "
+                                              f"nodes, {len(kept)} maximal ideals so far")
+                queue.append((y, node))
+    return kept
 
 
 def naive_language(net: LabeledPetriNet, maxlen: int) -> set[Word]:

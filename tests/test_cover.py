@@ -4,15 +4,17 @@
 and with bounded runs and the backward basis on unbounded ones.  Pruning a
 saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
-element order and the parents map in key order.  The cover a saturation
-computes is limited by the nodes the saturation keeps, so a net with a huge
-cover costs no more than its search.  A decision answers from the first
-complete cover, and a witness search ends at one that misses the final
-marking: neither expands a node after it.  The separator's saturation
-takes a verdict from the cover instead of pruning: it must refuse exactly
-the coverable nets and return the unpruned basis on the others.  The
-complete cover of a disjoint pair's product is itself an inductive
-invariant, inside the complement of the backward basis.
+element order and the parents map in key order.  The cover loop keeps the
+ideals of the loop that fires every transition, in the same order.  The
+cover a saturation computes is limited by the nodes the saturation keeps
+(at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
+costs no more than its search.  A decision computes the cover first and
+answers from the first complete one, and a witness search ends at one that
+misses the final marking: neither expands a node after it.  The separator's
+saturation takes a verdict from the cover instead of pruning: it must
+refuse exactly the coverable nets and return the unpruned basis on the
+others.  The complete cover of a disjoint pair's product is itself an
+inductive invariant, inside the complement of the backward basis.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ from regsep.separator import separate
 from regsep.verify import verify_separator
 
 from .conftest import candidate_nfa
-from .oracles import bfs_cover, naive_member_down, random_nfa, reachable_markings
+from .oracles import (
+    bfs_cover,
+    naive_member_down,
+    per_transition_forward_cover,
+    random_nfa,
+    reachable_markings,
+)
 from .test_antichain import _back, random_products
 from .test_corpus import BOTH_NONEMPTY
 
@@ -158,6 +166,30 @@ class TestForwardCover:
                 accelerated += any(OMEGA in u for u in cover)
         assert accelerated > 100
 
+    def test_loop_against_per_transition_reference(self):
+        """The cover loop keeps the ideals of the loop that fires every
+        transition, in the same insertion order, and gives up past a limit
+        or a budget exactly where that loop does."""
+
+        def outcome(cover, net, settings, limit):
+            try:
+                result = cover(net, settings, limit)
+            except BudgetExceededError as e:
+                return str(e)
+            return None if result is None else list(result)
+
+        checked = merged = 0
+        for net in cover_loop_nets():
+            full = list(per_transition_forward_cover(net))
+            assert list(forward_cover(net)) == full
+            for n in {1, len(full) // 2, len(full) - 1, len(full)} - {0}:
+                for settings, limit in ((DEFAULT, n), (Settings(node_budget=n), None)):
+                    want = outcome(per_transition_forward_cover, net, settings, limit)
+                    assert outcome(forward_cover, net, settings, limit) == want
+            checked += 1
+            merged += len({(t.pre, t.post) for t in net.transitions}) < len(net.transitions)
+        assert checked == 1100 and merged == 99
+
 
 class TestPrunedCoverable:
     def test_random_products(self):
@@ -172,8 +204,9 @@ class TestPrunedCoverable:
             assert coverable(net) == prestar_basis(net).coverable
 
     def test_separation_pairs(self, covers):
-        """Each pair's product and both its nets.  A search that completes
-        a cover answers from it, whether it holds the final marking or not."""
+        """Each pair's product and both its nets.  Every decision computes
+        the cover first and answers from it once complete, whether it holds
+        the final marking or not: all 708 here."""
         from_cover = {True: 0, False: 0}
         for name, n1, n2 in separation_pairs():
             for net in (product(n1, n2), n1, n2):
@@ -182,13 +215,13 @@ class TestPrunedCoverable:
                 assert verdict == prestar_basis(net).coverable, name
                 if any(complete for _, complete in covers):
                     from_cover[verdict] += 1
-        assert from_cover == {True: 16, False: 17}
+        assert from_cover == {True: 285, False: 423}
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_disjoint_expands_no_node_after_the_cover(self, k, covers, preds_after_cover):
         assert disjoint(*last_letter_pair(k))
-        assert covers == [(68, True)]
-        assert preds_after_cover and not any(preds_after_cover)
+        assert covers == [(64, True)]
+        assert preds_after_cover == []  # the cover comes before any node
 
     def test_witness_search_ends_when_the_cover_misses(self, covers, preds_after_cover):
         # a disjoint pair's product has an empty language; against the
@@ -204,6 +237,16 @@ class TestPrunedCoverable:
         assert net_automaton_intersection_witness(net, every_word) is None
         assert covers == [(68, True)]
         assert preds_after_cover and not any(preds_after_cover)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_witness_searches_keep_their_schedule(self, k, bit, covers):
+        # the verifications of the benchmark's candidates: each witness
+        # search first computes the cover once it keeps PRUNE_AFTER nodes,
+        # limited to the nodes it keeps
+        assert verify_separator(*last_letter_pair(k), candidate_nfa(k, bit)).passed is bool(bit)
+        assert covers == [(66, True), (65, True)]
+        assert all(limit >= PRUNE_AFTER for limit, _ in covers)
 
 
 class TestCoverBudget:
@@ -237,19 +280,35 @@ class TestCoverBudget:
             with pytest.raises(BudgetExceededError, match="saturation kept over 68 nodes"):
                 search(net, Settings(node_budget=68))
 
+    @pytest.mark.parametrize("search, net, cover_nodes, answer", [
+        (coverable, product(*last_letter_pair(3)), 20, False),
+        (uncoverable_basis, product(label_expand(last_letter_net(0, 3), last_letter_net(0, 3)),
+                                    identity_labeled(last_letter_net(0, 3))), 26, None),
+    ])
+    def test_first_cover_is_limited_to_the_budget(self, search, net, cover_nodes, answer):
+        # a search computes the cover before it keeps a node, limited to
+        # PRUNE_AFTER nodes but never past the budget: under a budget too
+        # small for the cover the search runs out, never the cover
+        assert len(forward_cover(net)) == cover_nodes
+        for n in range(1, cover_nodes):
+            with pytest.raises(BudgetExceededError, match=rf"^saturation kept over {n} nodes"):
+                search(net, Settings(node_budget=n))
+        for n in range(cover_nodes, 3 * PRUNE_AFTER):
+            assert search(net, Settings(node_budget=n)) is answer
+
     def test_cli_disjoint_budget_counts_the_search_only(self, tmp_path, monkeypatch, capsys):
-        # the pruned search of the last-letter k=3 product keeps 68 nodes; the
-        # cover it computes is limited to the nodes kept, so it never runs
-        # out of budget first
+        # the cover of the last-letter k=3 product keeps 20 nodes; the cover
+        # a search computes is limited to the budget, so a smaller budget
+        # runs the search past its cover and out of budget, never the cover
         p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
         for net, path in zip(last_letter_pair(3), (p1, p2)):
             save_net(net, str(path))
         cfg = tmp_path / "cfg.json"
         monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
-        cfg.write_text('{"node_budget": 67}')
+        cfg.write_text('{"node_budget": 19}')
         assert main(["disjoint", str(p1), str(p2)]) == EXIT_BUDGET_EXCEEDED
-        assert "saturation kept over 67 nodes" in capsys.readouterr().err
-        cfg.write_text('{"node_budget": 68}')
+        assert "saturation kept over 19 nodes" in capsys.readouterr().err
+        cfg.write_text('{"node_budget": 20}')
         assert main(["disjoint", str(p1), str(p2)]) == EXIT_OK
 
 
@@ -323,7 +382,9 @@ class TestLargeCovers:
         net = token_chain(300, 1)
         assert disjoint(net, STARTS_WITH_B)
         assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
-        assert covers == []
+        # `disjoint` computes only the stuck product's one-ideal cover, and
+        # the small witness searches compute none
+        assert covers == [(64, True)]
 
     def test_large_search_limits_the_cover(self, covers):
         # covering 20 tokens in p3 has 231 minimal markings
@@ -333,8 +394,24 @@ class TestLargeCovers:
         assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
         # the chain's own searches give up on the cover; the product with
         # STARTS_WITH_B cannot move, so its cover is one ideal
-        assert covers == [(64, False), (66, True), (64, False), (256, False)]
+        assert covers == [(64, False), (64, True), (64, False), (256, False)]
         assert not coverable(replace(net, initial=(19, 0, 0)))
+
+
+def cover_loop_nets():
+    """Last-letter nets, pair products and self products for k=1..7, both
+    products of every `separation_pairs` pair, and random nets over several
+    shapes and norms."""
+    for k in range(1, 8):
+        n0, n1 = last_letter_pair(k)
+        n = last_letter_net(0, k)
+        yield from (n0, n1, product(n0, n1), product(label_expand(n, n), identity_labeled(n)))
+    for _, n1, n2 in separation_pairs():
+        yield product(n1, n2)
+        yield product(label_expand(n1, n2), identity_labeled(n2))
+    for seed in range(300):
+        pair = random_net_pair(seed, places=2 + seed % 4, transitions=3 + seed % 5, norm=1 + seed // 4 % 3)
+        yield from (pair.n1, pair.n2)
 
 
 def separation_pairs():
@@ -379,8 +456,8 @@ class TestUncoverableBasis:
                 assert got == expected, name  # basis, iterations and verdict
                 exact_after_cover += bool(covers)
                 assert separate(n1, n2).basis == expected.basis, name
-        assert refused_by_cover == 8 and retried == 3
-        assert exact_after_cover == 17 and overlapping == 37
+        assert refused_by_cover == 37 and retried == 3
+        assert exact_after_cover == 199 and overlapping == 37
 
     def test_refusal_expands_under_half_the_fixpoint(self, monkeypatch):
         expanded = set()
