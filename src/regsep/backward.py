@@ -88,7 +88,7 @@ def saturate(
     back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
     settings: Settings = DEFAULT,
     prune_after: int | None = None,
-    _search: Literal["witness", "decision", "basis"] = "witness",
+    _search: Literal["witness", "decision"] = "witness",
 ) -> tuple[defaultdict[Hashable, Antichain], dict, int] | None:
     """FIFO backward saturation over (control state, marking) nodes, from
     the final marking at every root state.  Expanding (q, v), each transition
@@ -115,11 +115,9 @@ def saturate(
     on.  This is exact however late it starts: markings below a coverable
     one are coverable and uncoverable ones have only uncoverable
     predecessors, so the coverable nodes, their order and their parents are
-    the unpruned run's.  A "decision" or "basis" search (one state only)
-    returns None.  A cover that misses it is dropped in a "basis" search,
-    which runs unpruned to the exact fixpoint, and otherwise ends the
-    search: no kept node is coverable, so none lies below the initial
-    marking."""
+    the unpruned run's.  A "decision" search (one state only) returns None.
+    A cover that misses it ends the search: no kept node is coverable, so
+    none lies below the initial marking."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
@@ -140,10 +138,8 @@ def saturate(
             prune_after = None if cover is not None else 4 * limit
             if cover is not None:
                 if cover.below(net.final):
-                    if _search != "witness":
+                    if _search == "decision":
                         return None  # the final marking is coverable
-                elif _search == "basis":
-                    cover = None
                 else:
                     break  # the final marking is not coverable
         node = q, v = queue.popleft()
@@ -186,34 +182,21 @@ def _one_state(net: LabeledPetriNet) -> dict:
     return {(None, t.label): (None,) for t in net.transitions}
 
 
-def _basis_result(net: LabeledPetriNet, saturation: tuple) -> BackwardResult:
-    chains, _, iterations = saturation
-    basis = UpSet(net.dimension, tuple(sorted(chains[None])))
-    return BackwardResult(basis, iterations, member_up(net.initial, basis))
-
-
 def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult:
     """Saturate the minimal basis of the markings that can cover the final
-    one: the one-state case of `saturate`, unpruned."""
-    return _basis_result(net, saturate(net, (None,), _one_state(net), settings))
-
-
-def uncoverable_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> BackwardResult | None:
-    """`prestar_basis(net)` if the final marking is not coverable, else None,
-    as soon as the forward cover holds the final marking (see `saturate`);
-    the separator's saturation.  The cover comes first, before any node is
-    expanded."""
-    saturation = saturate(net, (None,), _one_state(net), settings, 0, "basis")
-    if saturation is None:
-        return None
-    result = _basis_result(net, saturation)
-    return None if result.coverable else result
+    one: the one-state case of `saturate`, unpruned, so every node is
+    expanded and no cover is computed."""
+    chains, _, iterations = saturate(net, (None,), _one_state(net), settings)
+    basis = UpSet(net.dimension, tuple(sorted(chains[None])))
+    return BackwardResult(basis, iterations, member_up(net.initial, basis))
 
 
 def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     """True iff some firing sequence from the initial marking covers the final
     one: the one-state case of `saturate`, answered by the first complete
-    forward cover, which comes before any node is expanded (see there)."""
+    forward cover, which comes before any node is expanded (see there).
+    `separate` and the `invariant` command ask this first and saturate
+    `prestar_basis` only when it is False."""
     saturation = saturate(net, (None,), _one_state(net), settings, 0, "decision")
     return saturation is None or any(omega_leq(b, net.initial) for b in saturation[0][None])
 

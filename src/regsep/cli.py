@@ -62,10 +62,10 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     n1 = fileio.load_net(args.net1)
     n2 = fileio.load_net(args.net2)
     prod = product(n1, n2)
-    result = backward.uncoverable_basis(prod, args.settings)
-    if result is None:
+    if backward.coverable(prod, args.settings):
         print("COVERABLE: the product accepts a word, no inductive invariant exists")
         return EXIT_PROPERTY_FAILED
+    result = backward.prestar_basis(prod, args.settings)
     cert = invariant.invariant_from_backward(prod, result, args.settings)
     for u in cert.down.ideals:
         print(f"ideal {vector_str(u)}")

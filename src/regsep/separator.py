@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass
 
 from .automata import Nfa, complement, determinize, minimize, relabel, widen_alphabet
-from .backward import uncoverable_basis
+from .backward import coverable, prestar_basis
 from .config import DEFAULT, Settings
 from .errors import NotDisjointError
 from .ideals import UpSet, omega_leq
@@ -102,17 +102,17 @@ def separate(
     """Produce a verified-by-construction separator bundle.
 
     The returned separator contains L(n2) and is disjoint from L(n1).
-    Raises NotDisjointError when the languages overlap; the product's
-    forward cover can prove that before its basis is saturated.
+    Raises NotDisjointError when the languages overlap, which `coverable`
+    decides on the product before its basis is saturated.
     """
     w = label_expand(n1, n2)
     w_det = identity_labeled(n2)
     # exact disjointness test: with λ the labeling of n2, the product
     # accepts u iff λ(u) ∈ L(n1) ∩ L(n2)
     prod = product(w, w_det)
-    backward = uncoverable_basis(prod, settings)
-    if backward is None:
+    if coverable(prod, settings):
         raise NotDisjointError("the coverability languages intersect; no separator exists")
+    backward = prestar_basis(prod, settings)
     cert = invariant_from_backward(prod, backward, settings)
     log.info(
         "basis size %d (norm %d), invariant ideals %d",

@@ -10,11 +10,12 @@ cover a saturation computes is limited by the nodes the saturation keeps
 (at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
 costs no more than its search.  A decision computes the cover first and
 answers from the first complete one, and a witness search ends at one that
-misses the final marking: neither expands a node after it.  The separator's
-saturation takes a verdict from the cover instead of pruning: it must
-refuse exactly the coverable nets and return the unpruned basis on the
-others.  The complete cover of a disjoint pair's product is itself an
-inductive invariant, inside the complement of the backward basis.
+misses the final marking: neither expands a node after it.  `separate`
+decides, then saturates: it asks `coverable` on the product, with the same
+cover schedule, refuses exactly the coverable products and otherwise keeps
+the unpruned `prestar_basis`.  The complete cover of a disjoint pair's
+product is itself an inductive invariant, inside the complement of the
+backward basis.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from regsep.backward import (
     forward_cover,
     prestar_basis,
     saturate,
-    uncoverable_basis,
 )
 from regsep.cli import EXIT_BUDGET_EXCEEDED, EXIT_OK, main
 from regsep.config import DEFAULT, Settings
@@ -275,26 +275,29 @@ class TestCoverBudget:
         net = product(label_expand(n, n), identity_labeled(n))
         assert forward_cover(net, Settings(node_budget=64), 64) is None
         # the search keeps 68 nodes when it first computes the cover, which
-        # does not fit in 68; the search itself then runs out of budget
-        for search in (coverable, uncoverable_basis):
-            with pytest.raises(BudgetExceededError, match="saturation kept over 68 nodes"):
-                search(net, Settings(node_budget=68))
+        # does not fit in 68; the search itself then runs out of budget,
+        # also when `separate` asks it to refuse the self pair
+        settings = Settings(node_budget=68)
+        with pytest.raises(BudgetExceededError, match="saturation kept over 68 nodes"):
+            coverable(net, settings)
+        with pytest.raises(BudgetExceededError, match="saturation kept over 68 nodes"):
+            separate(n, n, settings)
 
-    @pytest.mark.parametrize("search, net, cover_nodes, answer", [
-        (coverable, product(*last_letter_pair(3)), 20, False),
-        (uncoverable_basis, product(label_expand(last_letter_net(0, 3), last_letter_net(0, 3)),
-                                    identity_labeled(last_letter_net(0, 3))), 26, None),
+    @pytest.mark.parametrize("net, cover_nodes, answer", [
+        (product(*last_letter_pair(3)), 20, False),
+        (product(label_expand(last_letter_net(0, 3), last_letter_net(0, 3)),
+                 identity_labeled(last_letter_net(0, 3))), 26, True),
     ])
-    def test_first_cover_is_limited_to_the_budget(self, search, net, cover_nodes, answer):
-        # a search computes the cover before it keeps a node, limited to
+    def test_first_cover_is_limited_to_the_budget(self, net, cover_nodes, answer):
+        # a decision computes the cover before it keeps a node, limited to
         # PRUNE_AFTER nodes but never past the budget: under a budget too
         # small for the cover the search runs out, never the cover
         assert len(forward_cover(net)) == cover_nodes
         for n in range(1, cover_nodes):
             with pytest.raises(BudgetExceededError, match=rf"^saturation kept over {n} nodes"):
-                search(net, Settings(node_budget=n))
+                coverable(net, Settings(node_budget=n))
         for n in range(cover_nodes, 3 * PRUNE_AFTER):
-            assert search(net, Settings(node_budget=n)) is answer
+            assert coverable(net, Settings(node_budget=n)) is answer
 
     def test_cli_disjoint_budget_counts_the_search_only(self, tmp_path, monkeypatch, capsys):
         # the cover of the last-letter k=3 product keeps 20 nodes; the cover
@@ -436,7 +439,8 @@ def separation_pairs():
 
 class TestUncoverableBasis:
     """`separate` refuses exactly the pairs whose product the unpruned
-    `prestar_basis` finds coverable, and otherwise keeps its basis."""
+    `prestar_basis` finds coverable, with the cover schedule of `coverable`
+    on that product, and otherwise keeps that basis."""
 
     def test_separate_against_unpruned_basis(self, covers):
         refused_by_cover = retried = exact_after_cover = overlapping = 0
@@ -444,18 +448,19 @@ class TestUncoverableBasis:
             prod = product(label_expand(n1, n2), identity_labeled(n2))
             expected = prestar_basis(prod)
             covers.clear()
-            got = uncoverable_basis(prod)
+            assert coverable(prod) is expected.coverable, name
+            schedule = covers[:]
+            covers.clear()
             if expected.coverable:
-                assert got is None, name
-                overlapping += 1
-                refused_by_cover += bool(covers)
-                retried += len(covers) > 1
                 with pytest.raises(NotDisjointError):
                     separate(n1, n2)
+                overlapping += 1
+                refused_by_cover += bool(schedule)
+                retried += len(schedule) > 1
             else:
-                assert got == expected, name  # basis, iterations and verdict
-                exact_after_cover += bool(covers)
                 assert separate(n1, n2).basis == expected.basis, name
+                exact_after_cover += bool(schedule)
+            assert covers == schedule, name  # `separate` asks `coverable` first
         assert refused_by_cover == 37 and retried == 3
         assert exact_after_cover == 199 and overlapping == 37
 
@@ -472,7 +477,11 @@ class TestUncoverableBasis:
         net = product(label_expand(n, n), identity_labeled(n))
         assert prestar_basis(net).iterations == len(expanded) == 364
         expanded.clear()
-        assert uncoverable_basis(net) is None
+        assert coverable(net)
+        assert len(expanded) < 364 / 2
+        expanded.clear()
+        with pytest.raises(NotDisjointError):
+            separate(n, n)
         assert len(expanded) < 364 / 2
 
 

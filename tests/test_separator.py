@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from regsep import backward
 from regsep.automata import complement, determinize, member, minimize, relabel, widen_alphabet
 from regsep.backward import prestar_basis, saturate
 from regsep.cli import main, net_digest
@@ -211,21 +212,33 @@ class TestSeparate:
             separate(net, net)
 
     def test_saturates_once(self, monkeypatch):
-        calls = []
+        # `separate` decides, then saturates: no node is saturated twice
+        nets, preds = [], []
+        pred = backward._pred
 
         def counting(net, *args, **kwargs):
-            calls.append(net)
+            nets.append(net)
             return saturate(net, *args, **kwargs)
+
+        def recording(v, pre, post):
+            preds.append((v, pre, post))
+            return pred(v, pre, post)
 
         for module in ("backward", "automata"):
             monkeypatch.setattr(f"regsep.{module}.saturate", counting)
+        monkeypatch.setattr(backward, "_pred", recording)
         n1, n2 = make_worked_pair()
-        separate(n1, n2)
-        assert len(calls) == 1
-        calls.clear()
+        bundle = separate(n1, n2)
+        prod = product(bundle.w, bundle.w_det)
+        assert nets and all(net == prod for net in nets)
+        computed = preds[:]
+        preds.clear()
+        prestar_basis(prod)
+        assert computed == preds and len(preds) == 3
+        nets.clear()
         with pytest.raises(NotDisjointError):
             separate(n1, n1)
-        assert len(calls) == 1
+        assert len(nets) == 1
 
     def test_builds_product_once(self, monkeypatch):
         calls = []

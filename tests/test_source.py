@@ -136,15 +136,21 @@ def test_one_count_rule():
     assert found == ["config.py:is_count"]
 
 
+def _owners(tree: ast.Module) -> dict[int, str]:
+    """The name of the innermost function around each node, by node id."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return owner
+
+
 def test_one_json_reader():
     # every JSON input must go through the repeated-key hook and the one
     # error format, so `config.read_json` is the only caller of `json.load`
     found = []
     for name, tree in _modules():
-        owner = {}
-        for func in ast.walk(tree):  # outer functions first, so inner ones win
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
+        owner = _owners(tree)
         found += [
             f"{name}:{owner.get(id(node), '<module>')}"
             for node in ast.walk(tree)
@@ -154,6 +160,25 @@ def test_one_json_reader():
             and node.value.id == "json"
         ]
     assert found == ["config.py:read_json"]
+
+
+def test_one_saturation_per_question():
+    # the basis, the coverability verdict and the witness each have one
+    # saturation; a caller that needs a verdict and a basis asks for both
+    found = []
+    for name, tree in _modules():
+        owner = _owners(tree)
+        found += [
+            f"{name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "saturate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sorted(found) == [
+        "automata.py:net_automaton_intersection_witness",
+        "backward.py:coverable",
+        "backward.py:prestar_basis",
+    ]
 
 
 # exports that no module of the package uses, each kept for a reason
