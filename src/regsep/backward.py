@@ -14,8 +14,8 @@ from typing import Hashable, Literal, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
-from .ideals import OMEGA, Antichain, IdealAntichain, Marking, UpSet, check_marking, ideal_fire
-from .ideals import member_up, omega_leq
+from .ideals import OMEGA, Antichain, IdealAntichain, IdealIndex, Marking, UpSet, check_marking
+from .ideals import ideal_fire, member_up, omega_leq
 from .petri import LabeledPetriNet, covers, fire, product
 
 Node = TypeVar("Node", bound=Hashable)
@@ -111,13 +111,13 @@ def saturate(
     the limit are kept.  A complete cover holds the final marking iff it is
     coverable: it holds every reachable marking, and Karp-Miller
     acceleration adds none that no run covers.  A cover that holds it prunes
-    a "witness" `_search`: no predecessor outside it is offered from then
-    on.  This is exact however late it starts: markings below a coverable
-    one are coverable and uncoverable ones have only uncoverable
-    predecessors, so the coverable nodes, their order and their parents are
-    the unpruned run's.  A "decision" search (one state only) returns None.
-    A cover that misses it ends the search: no kept node is coverable, so
-    none lies below the initial marking."""
+    a "witness" `_search`: indexed as an `IdealIndex`, it is asked once per
+    predecessor, and none outside it is offered from then on.  The pruning
+    is exact however late it starts: markings below a coverable one are
+    coverable and uncoverable ones have only uncoverable predecessors, so
+    the coverable nodes, their order and their parents are the unpruned
+    run's.  A "decision" search (one state only) returns None.  A cover
+    that misses it ends the search, since no kept node is coverable."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
@@ -134,14 +134,14 @@ def saturate(
     while queue:
         if prune_after is not None and len(parents) >= prune_after:
             limit = min(max(len(parents), PRUNE_AFTER), settings.node_budget)
-            cover = forward_cover(net, settings, limit)
-            prune_after = None if cover is not None else 4 * limit
-            if cover is not None:
-                if cover.below(net.final):
-                    if _search == "decision":
-                        return None  # the final marking is coverable
-                else:
+            ideals = forward_cover(net, settings, limit)
+            prune_after = None if ideals is not None else 4 * limit
+            if ideals is not None:
+                if not ideals.below(net.final):
                     break  # the final marking is not coverable
+                if _search == "decision":
+                    return None  # the final marking is coverable
+                cover = IdealIndex(ideals)
         node = q, v = queue.popleft()
         if v not in chains[q]:
             continue  # evicted while waiting
@@ -158,7 +158,7 @@ def saturate(
             m = row[i]
             if m is None:
                 m = _pred(v, t.pre, t.post)
-                m = row[i] = m if cover is None or any(omega_leq(m, u) for u in cover) else False
+                m = row[i] = m if cover is None or cover.mask(m) else False
             if m is False:
                 continue  # outside the cover
             for s in targets:

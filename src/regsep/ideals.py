@@ -17,9 +17,10 @@ last, so serialized artifacts are byte-stable across runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, ge, le, sub
+from itertools import accumulate, compress
+from operator import add, ge, le, or_, sub
 from typing import Iterable, Union
 
 from .config import DEFAULT, Settings, is_count
@@ -183,6 +184,43 @@ class IdealAntichain(Antichain):
     @staticmethod
     def _mask(u: OmegaMarking) -> int:
         return sum(compress(_BITS, map(OMEGA.__ne__, u)))
+
+
+class IdealIndex:
+    """A fixed tuple of ideals: bit k of `mask(s)` is set iff ideal k contains
+    s.  Per coordinate it keeps the sorted distinct values (OMEGA last) and
+    per value the bitmask of the ideals at least that high there."""
+
+    __slots__ = ("ideals", "_columns", "_all")
+
+    def __init__(self, ideals: Iterable[OmegaMarking]) -> None:
+        self.ideals = tuple(ideals)
+        self._all = (1 << len(self.ideals)) - 1
+        self._columns: list[tuple[list[Coord], list[int]]] = []
+        for column in zip(*self.ideals):
+            values = sorted(set(column))
+            masks = [0] * (len(values) + 1)  # past the last value: no ideal
+            for k, c in enumerate(column):
+                masks[bisect_left(values, c)] |= 1 << k
+            self._columns.append((values, list(accumulate(masks[::-1], or_))[::-1]))
+
+    def mask(self, s: OmegaMarking) -> int:
+        """The bitmask of the ideals containing `s`."""
+        found = self._all
+        for (values, masks), c in zip(self._columns, s):
+            found &= masks[bisect_left(values, c)]
+            if not found:
+                break
+        return found
+
+    def containing(self, s: OmegaMarking) -> list[OmegaMarking]:
+        """The ideals containing `s`, in tuple order."""
+        found, out = self.mask(s), []
+        while found:
+            low = found & -found
+            out.append(self.ideals[low.bit_length() - 1])
+            found ^= low
+        return out
 
 
 def member_up(m: Marking, u: UpSet) -> bool:

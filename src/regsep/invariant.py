@@ -14,7 +14,7 @@ from .config import DEFAULT, Settings
 from .errors import InputError
 from .ideals import (
     DownSet,
-    IdealAntichain,
+    IdealIndex,
     OmegaMarking,
     UpSet,
     complement_upset,
@@ -135,13 +135,13 @@ def check_invariant(net: LabeledPetriNet, x: DownSet) -> InvariantReport:
             failures.append(f"ideal {vector_str(u)} meets the final cone")
     closed_ok = True
     successors: Successors = {}
-    containers = IdealAntichain(x.ideals)
+    containers = IdealIndex(x.ideals)  # `containing` keeps the order of x.ideals
     for u in x.ideals:
         for t in net.transitions:
             s = ideal_fire(u, t.pre, t.post)
             if s is None:
                 continue
-            targets = sorted(containers.below(s))  # in the order of x.ideals
+            targets = containers.containing(s)
             successors[u, t.name] = targets
             if not targets:
                 closed_ok = False

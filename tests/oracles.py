@@ -7,6 +7,7 @@ enumeration, no reuse of the algorithms under test.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from typing import Iterable, Sequence
@@ -62,6 +63,31 @@ def naive_coord_leq(a: Coord, b: Coord) -> bool:
 
 def naive_member_down(m: Marking, ideals: Iterable[OmegaMarking]) -> bool:
     return any(all(naive_coord_leq(x, u) for x, u in zip(m, vec)) for vec in ideals)
+
+
+def scan_containing(ideals: Sequence[OmegaMarking], s: OmegaMarking) -> list[OmegaMarking]:
+    """The ideals containing `s`, in the given order, comparing `s` with
+    every ideal.  This is the witness search's cover pruning before
+    `regsep.ideals.IdealIndex` replaced it (and the `IdealAntichain.below`
+    query of `check_invariant`), kept as its reference.  OMEGA is
+    `math.inf`, so the plain `<=` on coordinates is the order of N_omega."""
+    return [u for u in ideals if all(map(operator.le, s, u))]
+
+
+def scan_check_invariant(net: LabeledPetriNet, x: DownSet) -> tuple[bool, bool, bool, dict]:
+    """(initial_ok, final_ok, closed_ok, successors) of `x` on `net`, by
+    firing every step on every ideal and scanning every ideal for the ones
+    containing the successor: the reference for
+    `regsep.invariant.check_invariant`."""
+    successors = {}
+    for u in x.ideals:
+        for t in net.transitions:
+            if all(map(naive_coord_leq, t.pre, u)):
+                s = tuple(c if c == OMEGA else c - p + q for c, p, q in zip(u, t.pre, t.post))
+                successors[u, t.name] = scan_containing(x.ideals, s)
+    initial_ok = bool(scan_containing(x.ideals, net.initial))
+    final_ok = not any(all(map(naive_coord_leq, net.final, u)) for u in x.ideals)
+    return initial_ok, final_ok, all(successors.values()), successors
 
 
 def intersect_ideals(u: OmegaMarking, v: OmegaMarking) -> OmegaMarking:

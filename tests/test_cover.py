@@ -4,7 +4,8 @@
 and with bounded runs and the backward basis on unbounded ones.  Pruning a
 saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
-element order and the parents map in key order.  The cover loop keeps the
+element order and the parents map in key order, also where the cover has
+an OMEGA column.  The cover loop keeps the
 ideals of the loop that fires every transition, in the same order.  The
 cover a saturation computes is limited by the nodes the saturation keeps
 (at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
@@ -20,6 +21,7 @@ backward basis.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
 
@@ -49,6 +51,8 @@ from regsep.verify import verify_separator
 from .conftest import candidate_nfa
 from .oracles import (
     bfs_cover,
+    list_intersection_saturation,
+    list_intersection_witness,
     naive_member_down,
     per_transition_forward_cover,
     random_nfa,
@@ -401,6 +405,58 @@ class TestLargeCovers:
         assert not coverable(replace(net, initial=(19, 0, 0)))
 
 
+def pump_net(n: int) -> LabeledPetriNet:
+    """One token walks from s0 to s<n-1> on a, and at s<n/2> each b adds a
+    token to the unbounded place c.  The final marking is s<n-1> with two
+    tokens in c, so the forward cover holds it, and c's column of the cover
+    is 0 before s<n/2> and OMEGA from there on."""
+    def vec(i: int, c: int = 0) -> tuple[int, ...]:
+        return tuple(int(j == i) for j in range(n)) + (c,)
+
+    return LabeledPetriNet(
+        places=tuple(f"s{i}" for i in range(n)) + ("c",),
+        alphabet=("a", "b"),
+        transitions=tuple(Transition(f"a{i}", "a", vec(i), vec(i + 1)) for i in range(n - 1))
+        + (Transition("pump", "b", vec(n // 2), vec(n // 2, 1)),),
+        initial=vec(0),
+        final=vec(n - 1, 2),
+    )
+
+
+class TestOmegaCoverPruning:
+    @pytest.mark.parametrize("n, counts", [(6, (10, 3, 716, 1485)), (8, (13, 3, 1008, 2461))])
+    def test_witness_searches_against_unpruned_lists(self, n, counts, covers):
+        """Witness searches that keep 64 nodes and then prune by a cover
+        with an OMEGA column find the unpruned list loop's witness, and keep
+        its nodes and parents, in order, inside the cover."""
+        net = pump_net(n)
+        cover = forward_cover(net)
+        assert sorted({u[-1] for u in cover}) == [0, OMEGA] and len(cover) == n
+        rng = random.Random(n)
+        pruned = kept = unpruned = witnesses = 0
+        for _ in range(20):
+            a = random_nfa(rng, rng.randint(3, 6), net.alphabet)
+            covers.clear()
+            _, parents, _ = saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+            if not covers:
+                continue  # kept under 64 nodes
+            [(limit, complete)] = covers
+            assert complete and limit >= PRUNE_AFTER
+            want = list_intersection_saturation(net, a)
+
+            def inside(items):
+                return [(node, p) for node, p in items if naive_member_down(node[1], cover)]
+
+            assert inside(parents.items()) == inside(want[1].items())
+            word = net_automaton_intersection_witness(net, a)
+            assert word == list_intersection_witness(net, a, want)
+            pruned += 1
+            kept += len(parents)
+            unpruned += len(want[1])
+            witnesses += word is not None
+        assert (pruned, witnesses, kept, unpruned) == counts
+
+
 def cover_loop_nets():
     """Last-letter nets, pair products and self products for k=1..7, both
     products of every `separation_pairs` pair, and random nets over several
@@ -485,6 +541,21 @@ class TestUncoverableBasis:
         assert len(expanded) < 364 / 2
 
 
+@functools.cache
+def separator_products() -> tuple:
+    """(name, product, complete forward cover, greatest invariant) for the
+    separator's product of every `separation_pairs` pair.  The greatest
+    invariant is the complement of the backward basis, None when the
+    product is coverable."""
+    out = []
+    for name, n1, n2 in separation_pairs():
+        prod = product(label_expand(n1, n2), identity_labeled(n2))
+        cover = DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
+        greatest = None if coverable(prod) else complement_upset(prestar_basis(prod).basis)
+        out.append((name, prod, cover, greatest))
+    return tuple(out)
+
+
 class TestCoverIsAnInvariant:
     def test_disjoint_products(self):
         """On the separator's product of each disjoint pair (last-letter
@@ -492,17 +563,11 @@ class TestCoverIsAnInvariant:
         passes the three invariant checks and lies below the greatest
         invariant, the complement of the backward basis."""
         checked = 0
-        for name, n1, n2 in separation_pairs():
-            if name.startswith("self-") or name == "last-letter-k6":
+        for name, prod, cover, greatest in separator_products():
+            if greatest is None or name == "last-letter-k6":
                 continue
-            prod = product(label_expand(n1, n2), identity_labeled(n2))
-            basis = prestar_basis(prod)
-            if basis.coverable:
-                continue
-            cover = DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
             assert check_invariant(prod, cover).passed, name
-            greatest = complement_upset(basis.basis).ideals
-            assert all(naive_member_down(u, greatest) for u in cover.ideals), name
+            assert all(naive_member_down(u, greatest.ideals) for u in cover.ideals), name
             checked += 1
         assert checked == 198
 

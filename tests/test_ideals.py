@@ -18,6 +18,7 @@ from regsep.ideals import (
     Antichain,
     DownSet,
     IdealAntichain,
+    IdealIndex,
     UpSet,
     check_marking,
     check_omega_marking,
@@ -37,6 +38,7 @@ from .oracles import (
     naive_member_down,
     naive_member_up,
     random_upset,
+    scan_containing,
 )
 
 W = OMEGA
@@ -287,6 +289,52 @@ class TestCanonicalize:
             DownSet(2, ((0, 0), (0, W)))
         with pytest.raises(InputError):
             UpSet(2, ((1, 1), (2, 2)))
+
+
+@st.composite
+def index_queries(draw):
+    """Ideals of dimension 1-8 or 70 over 0..5 and OMEGA, so columns repeat
+    values, with queries of the same kind plus each ideal and its meet with
+    a query, which the ideal contains."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 70]))
+    ideals = draw(st.lists(omega_vectors(d), max_size=10))
+    queries = draw(st.lists(omega_vectors(d), min_size=1, max_size=3))
+    return ideals, queries + ideals + [intersect_ideals(u, s) for u in ideals for s in queries]
+
+
+class TestIdealIndex:
+    @given(index_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scan(self, case):
+        """Bit k is ideal k, and `containing` lists the ideals in tuple order."""
+        ideals, queries = case
+        index = IdealIndex(ideals)
+        for s in queries:
+            found = scan_containing(ideals, s)
+            assert index.containing(s) == found
+            assert index.mask(s) == sum(1 << k for k, u in enumerate(ideals) if u in found)
+
+    @given(index_queries())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_antichain(self, case):
+        ideals, queries = case
+        chain = IdealAntichain(ideals)
+        index = IdealIndex(chain)
+        for s in queries:
+            assert sorted(index.containing(s)) == sorted(chain.below(s))
+
+    def test_empty_and_one_ideal(self):
+        assert IdealIndex([]).mask((0, W)) == 0
+        assert IdealIndex([]).containing((0,)) == []
+        one = IdealIndex([(2, W, 0)])
+        assert one.mask((2, 7, 0)) == 1 and one.containing((1, W, 0)) == [(2, W, 0)]
+        assert one.mask((3, 0, 0)) == one.mask((0, 0, 1)) == one.mask((W, 0, 0)) == 0
+
+    def test_omega_sorts_last(self):
+        index = IdealIndex([(W, 1), (3, W), (W, W), (3, 1)])
+        assert index.containing((W, 1)) == [(W, 1), (W, W)]
+        assert index.mask((4, 2)) == 0b0100
+        assert index.mask((3, 1)) == 0b1111
 
 
 class TestMembership:

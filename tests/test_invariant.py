@@ -1,14 +1,15 @@
-"""Inductive invariants from the backward basis, and the size bounds."""
+"""Inductive invariants from the backward basis, their check against a
+scan of every ideal, and the size bounds."""
 
 from __future__ import annotations
 
 import pytest
 
-from regsep.backward import prestar_basis
+from regsep.backward import coverable, forward_cover, prestar_basis
 from regsep.config import Settings
 from regsep.errors import BudgetExceededError, InputError
-from regsep.generators import random_net_pair
-from regsep.ideals import OMEGA, DownSet, member_down, member_up
+from regsep.generators import last_letter_pair, random_net_pair
+from regsep.ideals import OMEGA, DownSet, complement_upset, member_down, member_up
 from regsep.invariant import (
     BackwardBound,
     backward_bound,
@@ -18,26 +19,11 @@ from regsep.invariant import (
 from regsep.petri import LabeledPetriNet, Transition, product
 
 from .conftest import make_worked_pair
-from .oracles import all_markings, naive_coord_leq
+from .oracles import all_markings, scan_check_invariant
+from .test_corpus import BOTH_NONEMPTY
+from .test_cover import separator_products
 
 W = OMEGA
-
-
-def brute_force_successors(prod, down):
-    """Fire every step on every ideal and scan all ideals for the ones
-    containing the successor."""
-    expected = {}
-    for u in down.ideals:
-        for t in prod.transitions:
-            if not all(naive_coord_leq(p, c) for p, c in zip(t.pre, u)):
-                continue
-            succ = tuple(
-                W if c == W else c - p + q for c, p, q in zip(u, t.pre, t.post)
-            )
-            expected[u, t.name] = [
-                r for r in down.ideals if all(map(naive_coord_leq, succ, r))
-            ]
-    return expected
 
 
 class TestInvariantFromBackward:
@@ -128,7 +114,7 @@ class TestCheckInvariant:
         n1, n2 = make_worked_pair()
         prod = product(n1, n2)
         down = invariant_from_backward(prod, prestar_basis(prod)).down
-        expected = brute_force_successors(prod, down)
+        expected = scan_check_invariant(prod, down)[3]
         report = check_invariant(prod, down)
         assert report.successors == expected
         # (0,2) -> (1,1) -> (w,0), where the second net cannot step
@@ -144,12 +130,50 @@ class TestCheckInvariant:
         assert len(down.ideals) == 681
         report = check_invariant(prod, down)
         assert report.passed
-        assert report.successors == brute_force_successors(prod, down)
+        assert report.successors == scan_check_invariant(prod, down)[3]
 
     def test_dimension_mismatch(self):
         n1, n2 = make_worked_pair()
         with pytest.raises(InputError):
             check_invariant(product(n1, n2), DownSet(3, ((W, W, W),)))
+
+
+def invariant_check_cases():
+    """(name, product, down set): the separator's product of every
+    `separation_pairs` pair with its forward cover and, when disjoint, its
+    greatest invariant; the direct products of last-letter k=2..5 with
+    both; and the direct products of `BOTH_NONEMPTY` with their covers."""
+    for name, prod, cover, greatest in separator_products():
+        yield f"{name}-cover", prod, cover
+        if greatest is not None:
+            yield f"{name}-greatest", prod, greatest
+    direct = [(f"last-letter-k{k}", product(*last_letter_pair(k))) for k in range(2, 6)]
+    for (places, transitions), seeds in BOTH_NONEMPTY.items():
+        for seed in seeds:
+            pair = random_net_pair(seed, places, transitions, norm=3)
+            direct.append((f"both-nonempty-{places}-{transitions}-{seed}", product(pair.n1, pair.n2)))
+    for name, prod in direct:
+        yield f"{name}-direct-cover", prod, DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
+        if name.startswith("last-letter"):
+            yield f"{name}-direct-greatest", prod, complement_upset(prestar_basis(prod).basis)
+
+
+class TestCheckInvariantAgainstScan:
+    def test_verdicts_and_successors(self):
+        """The three verdicts and the successor relation equal those of
+        firing every step on every ideal and scanning all ideals, on covers
+        that fail the final check, greatest invariants and OMEGA-heavy
+        ideal sets."""
+        checked, failed, with_omega = 0, 0, 0
+        for name, prod, down in invariant_check_cases():
+            report = check_invariant(prod, down)
+            *verdicts, successors = scan_check_invariant(prod, down)
+            assert [report.initial_ok, report.final_ok, report.closed_ok] == verdicts, name
+            assert list(report.successors.items()) == list(successors.items()), name
+            checked += 1
+            failed += not report.passed
+            with_omega += any(W in u for u in down.ideals)
+        assert (checked, failed, with_omega) == (465, 37, 221)
 
 
 class TestBounds:
