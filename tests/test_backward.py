@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import groupby
 
 import pytest
 
@@ -260,12 +261,13 @@ def test_each_offer_reaches_the_antichain_once(monkeypatch):
 
 
 def test_each_predecessor_is_computed_once(monkeypatch):
-    """Saturation keeps the predecessors of each marking it expands, so no
-    (marking, pre, post) triple is computed twice within one saturation,
-    even when the marking is expanded at several automaton states or two
-    transitions share their pre and post vectors."""
-    runs: list[list[tuple]] = []  # the _pred calls of each saturation
-    pred, saturate = backward._pred, backward.saturate
+    """A basis saturation expands each marking once, so no (marking, pre,
+    post) triple is computed twice in it, even when two transitions share
+    their pre and post vectors.  A witness search may expand a marking at
+    several automaton states, and computes its predecessors again each
+    time, but no triple twice within one expansion."""
+    runs: list[list] = []  # the _pred calls of each saturation, None where an expansion starts
+    pred, saturate, deque = backward._pred, backward.saturate, backward.deque
 
     def counting_pred(v, pre, post):
         runs[-1].append((v, pre, post))
@@ -275,6 +277,11 @@ def test_each_predecessor_is_computed_once(monkeypatch):
         runs.append([])
         return saturate(*args)
 
+    class Queue(deque):
+        def popleft(self):
+            runs[-1].append(None)
+            return super().popleft()
+
     # the forward cover prunes the witness searches, so the nets and the
     # automaton are chosen for searches that still compute over 50
     # predecessors each (the last-letter k=5 bit-0 candidate leaves 31 and 54)
@@ -282,9 +289,17 @@ def test_each_predecessor_is_computed_once(monkeypatch):
     aut = random_nfa(random.Random(3), 12, pair.n1.alphabet)
     monkeypatch.setattr(backward, "_pred", counting_pred)
     monkeypatch.setattr(backward, "saturate", counting_saturate)
+    monkeypatch.setattr(backward, "deque", Queue)
     monkeypatch.setattr(automata, "saturate", counting_saturate)
     assert not prestar_basis(product(*last_letter_pair(3))).coverable
     assert not verify_separator(pair.n1, pair.n2, aut).passed
-    assert len(runs) == 3 and all(len(calls) > 50 for calls in runs)
-    for calls in runs:
-        assert len(set(calls)) == len(calls)
+    assert len(runs) == 3
+    basis_calls = [c for c in runs[0] if c is not None]
+    assert len(basis_calls) > 50 and len(set(basis_calls)) == len(basis_calls)
+    for calls in runs[1:]:
+        expansions = [list(e) for starts, e in groupby(calls, lambda c: c is None) if not starts]
+        assert sum(map(len, expansions)) > 50
+        assert all(len(set(e)) == len(e) for e in expansions)
+    # the first witness search expands some markings at several states
+    first = [c for c in runs[1] if c is not None]
+    assert (len(first), len(set(first))) == (281, 240)

@@ -5,7 +5,8 @@ and with bounded runs and the backward basis on unbounded ones.  Pruning a
 saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order, also where the cover has
-an OMEGA column.  The cover loop keeps the
+an OMEGA column, and once a complete cover holds the final marking, no
+node kept after it may lie outside it.  The cover loop keeps the
 ideals of the loop that fires every transition, in the same order.  The
 cover a saturation computes is limited by the nodes the saturation keeps
 (at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
@@ -28,7 +29,14 @@ from dataclasses import replace
 import pytest
 
 from regsep import backward
-from regsep.automata import Nfa, complement, determinize, minimize, net_automaton_intersection_witness
+from regsep.automata import (
+    Nfa,
+    backward_complement,
+    complement,
+    determinize,
+    minimize,
+    net_automaton_intersection_witness,
+)
 from regsep.backward import (
     PRUNE_AFTER,
     coverable,
@@ -424,7 +432,7 @@ def pump_net(n: int) -> LabeledPetriNet:
 
 
 class TestOmegaCoverPruning:
-    @pytest.mark.parametrize("n, counts", [(6, (10, 3, 716, 1485)), (8, (13, 3, 1008, 2461))])
+    @pytest.mark.parametrize("n, counts", [(6, (10, 3, 685, 1485)), (8, (13, 3, 945, 2461))])
     def test_witness_searches_against_unpruned_lists(self, n, counts, covers):
         """Witness searches that keep 64 nodes and then prune by a cover
         with an OMEGA column find the unpruned list loop's witness, and keep
@@ -455,6 +463,66 @@ class TestOmegaCoverPruning:
             unpruned += len(want[1])
             witnesses += word is not None
         assert (pruned, witnesses, kept, unpruned) == counts
+
+
+@pytest.fixture
+def kept_after_cover(monkeypatch):
+    """Runs a witness search of a net against an automaton, and returns,
+    for each node it keeps once a complete cover holds the final marking,
+    whether that cover holds the node's marking too: nothing for a search
+    that keeps too few nodes to compute a cover."""
+    holding = []  # the complete cover that holds the final marking, once computed
+    kept = []
+    cover = backward.forward_cover
+
+    def spy(net, settings=DEFAULT, limit=None):
+        result = cover(net, settings, limit)
+        if result is not None and result.below(net.final):
+            holding.append(result)
+        return result
+
+    class Recording(backward.Antichain):
+        def add(self, m):
+            if not super().add(m):
+                return False
+            if holding:
+                kept.append(naive_member_down(m, holding[0]))
+            return True
+
+    def search(net, a):
+        holding.clear()
+        kept.clear()
+        saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+        return kept[:]
+
+    monkeypatch.setattr(backward, "forward_cover", spy)
+    monkeypatch.setattr(backward, "Antichain", Recording)
+    return search
+
+
+class TestKeptInsideCover:
+    """Once a witness search's complete cover holds the final marking, it
+    keeps no node outside that cover, however often it expands a marking."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pump_nets(self, n, kept_after_cover):
+        # the searches of `TestOmegaCoverPruning` that compute a cover
+        net = pump_net(n)
+        rng = random.Random(n)
+        after = []
+        for _ in range(20):
+            after += kept_after_cover(net, random_nfa(rng, rng.randint(3, 6), net.alphabet))
+        assert after and after.count(False) == 0
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_candidate_searches(self, k, bit, kept_after_cover):
+        # both searches of `verify_separator` on the benchmark's candidates
+        n1, n2 = last_letter_pair(k)
+        b = candidate_nfa(k, bit)
+        for net, a in ((n1, b), (n2, backward_complement(b))):
+            after = kept_after_cover(net, a)
+            assert after and after.count(False) == 0
 
 
 def cover_loop_nets():

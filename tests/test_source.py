@@ -124,10 +124,7 @@ def test_one_count_rule():
     # `config.is_count` is the one predicate that does
     found = []
     for name, tree in _modules():
-        owner = {}
-        for func in ast.walk(tree):  # outer functions first, so inner ones win
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
+        owner = _owners(tree)
         found += [
             f"{name}:{owner.get(id(node), '<module>')}"
             for node in ast.walk(tree)
