@@ -59,9 +59,6 @@ class Nfa:
             annotated.add(s)
             check_omega_marking(u, len(self.annotation_places))
 
-    def annotation_map(self) -> dict[str, OmegaMarking]:
-        return dict(self.annotations)
-
     def successors(self) -> dict[tuple[str, str], set[str]]:
         table: dict[tuple[str, str], set[str]] = {}
         for s, a, r in self.transitions:

@@ -112,7 +112,8 @@ def saturate(
     coverable: it holds every reachable marking, and Karp-Miller
     acceleration adds none that no run covers.  A cover that holds it prunes
     a "witness" `_search`: indexed as an `IdealIndex`, it is asked once per
-    predecessor, and no node outside it is kept from then on.  The pruning
+    predecessor, and no node outside it is kept from then on, nor expanded,
+    since such a node has only predecessors outside it too.  The pruning
     is exact however late it starts: markings below a coverable one are
     coverable and uncoverable ones have only uncoverable predecessors, so
     the coverable nodes, their order and their parents are the unpruned
@@ -136,14 +137,14 @@ def saturate(
             ideals = forward_cover(net, settings, limit)
             prune_after = None if ideals is not None else 4 * limit
             if ideals is not None:
-                if not ideals.below(net.final):
+                if not any(omega_leq(net.final, u) for u in ideals):
                     break  # the final marking is not coverable
                 if _search == "decision":
                     return None  # the final marking is coverable
                 cover = IdealIndex(ideals)
         node = q, v = queue.popleft()
-        if v not in chains[q]:
-            continue  # evicted while waiting
+        if v not in chains[q] or cover is not None and not cover.mask(v):
+            continue  # evicted while waiting, or outside the cover
         iterations += 1
         steps = moves.get(q)
         if steps is None:

@@ -149,9 +149,12 @@ def automaton_from_dict(raw: Any) -> Nfa:
         annotation_places = _string_list(raw["annotation_places"], "annotation_places")
         if not isinstance(raw["annotations"], dict):
             raise InputError("annotations: expected an object")
+        # in `states` order, since the writer sorts the keys as strings;
+        # an undeclared state sorts first, for `Nfa` to refuse
+        rank = {s: k for k, s in enumerate(states)}
         annotations = tuple(
             (s, _vector_from_map(annotation_places, v, f"annotations[{s}]", allow_omega=True))
-            for s, v in raw["annotations"].items()
+            for s, v in sorted(raw["annotations"].items(), key=lambda item: rank.get(item[0], -1))
         )
     return Nfa(
         states=states,

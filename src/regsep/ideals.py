@@ -112,10 +112,10 @@ class Antichain(dict):
     """The elements that no other is below in the order `le`, among the
     vectors added so far, in insertion order, each mapped to its bucket key.
     The key `_mask(v)` is a bitmask such that b `le` m needs key(b) inside
-    key(m); so a query for the elements below m skips every bucket with a
-    bit outside key(m), and an eviction visits only the buckets containing
-    key(m).  Here `le` is the componentwise order and the key is the
-    support, so the elements are the minimal markings.  Change it only
+    key(m); so the test whether an element is below m skips every bucket
+    with a bit outside key(m), and an eviction visits only the buckets
+    containing key(m).  Here `le` is the componentwise order and the key is
+    the support, so the elements are the minimal markings.  Change it only
     through `add` and `drop`."""
 
     __slots__ = ("_buckets",)
@@ -151,18 +151,6 @@ class Antichain(dict):
         self._buckets.setdefault(mask, set()).add(m)
         return True
 
-    def below(self, m: OmegaMarking) -> list[OmegaMarking]:
-        """The elements below or equal to `m` in the order `le`, in no
-        particular order."""
-        order, mask = self.le, self._mask(m)
-        return [
-            b
-            for key, bucket in self._buckets.items()
-            if not key & ~mask
-            for b in bucket
-            if all(map(order, b, m))
-        ]
-
     def drop(self, b: OmegaMarking) -> None:
         """Remove the element `b`."""
         key = self.pop(b)
@@ -174,9 +162,8 @@ class Antichain(dict):
 
 class IdealAntichain(Antichain):
     """The same engine under the reverse order: the maximal ideals among the
-    omega-markings added so far, and `below(s)` is the ideals containing s.
-    u <= r needs fin(r) inside fin(u), so the key is the set of finite
-    coordinates."""
+    omega-markings added so far.  u <= r needs fin(r) inside fin(u), so the
+    key is the set of finite coordinates."""
 
     __slots__ = ()
     le = ge
@@ -243,12 +230,14 @@ def complement_upset(u: UpSet, settings: Settings = DEFAULT) -> DownSet:
     each into one piece per coordinate j with v(j) > 0, pinned to v(j)-1.
     A piece lies inside the ideal it came from and the ideals form an
     antichain, so no other ideal lies below a piece: dropping the split
-    ideals and adding the pieces keeps exactly the maximal ones.  Raises
+    ideals and adding the pieces keeps exactly the maximal ones.  The split
+    ideals are found by one scan: v is a marking, so its bucket key has
+    every bit set and no bucket could be skipped.  Raises
     BudgetExceededError once more than `settings.node_budget` ideals are held.
     """
     acc = IdealAntichain([(OMEGA,) * u.dimension])
     for done, v in enumerate(u.basis, 1):
-        split = acc.below(v)
+        split = [a for a in acc if all(map(le, v, a))]
         for a in split:
             acc.drop(a)
         for a in split:

@@ -67,9 +67,9 @@ def naive_member_down(m: Marking, ideals: Iterable[OmegaMarking]) -> bool:
 
 def scan_containing(ideals: Sequence[OmegaMarking], s: OmegaMarking) -> list[OmegaMarking]:
     """The ideals containing `s`, in the given order, comparing `s` with
-    every ideal.  This is the witness search's cover pruning before
-    `regsep.ideals.IdealIndex` replaced it (and the `IdealAntichain.below`
-    query of `check_invariant`), kept as its reference.  OMEGA is
+    every ideal.  This is the witness search's cover pruning and the query
+    of `check_invariant` before `regsep.ideals.IdealIndex` replaced them,
+    kept as its reference.  OMEGA is
     `math.inf`, so the plain `<=` on coordinates is the order of N_omega."""
     return [u for u in ideals if all(map(operator.le, s, u))]
 

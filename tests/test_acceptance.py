@@ -230,7 +230,7 @@ def test_criterion_8_runtime_property_suite(disjoint_corpus, capsys):
         core = bundle.core
         w, w_det = bundle.w, bundle.w_det
         prod = product(w, w_det)
-        annotations = core.annotation_map()
+        annotations = dict(core.annotations)
         table: dict[tuple[str, str], set[str]] = {}
         for s, letter, r in core.transitions:
             table.setdefault((s, letter), set()).add(r)

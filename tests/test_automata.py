@@ -80,14 +80,14 @@ def annotated(annotations, places=("p",)):
 class TestAnnotationValidation:
     def test_well_formed_annotations(self):
         a = annotated((("a", (3,)), ("b", (OMEGA,))))
-        assert a.annotation_map() == {"a": (3,), "b": (OMEGA,)}
+        assert dict(a.annotations) == {"a": (3,), "b": (OMEGA,)}
 
     def test_duplicate_annotation_places(self):
         with pytest.raises(InputError, match="duplicate annotation places"):
             annotated((("a", (0, 3)),), places=("p", "p"))
 
     def test_state_annotated_twice(self):
-        # annotation_map() would keep only the second vector
+        # dict(a.annotations) would keep only the second vector
         with pytest.raises(InputError, match="annotated twice"):
             annotated((("a", (1,)), ("a", (3,))))
 

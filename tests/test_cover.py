@@ -6,7 +6,7 @@ saturation by it, however late the pruning starts, must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order, also where the cover has
 an OMEGA column, and once a complete cover holds the final marking, no
-node kept after it may lie outside it.  The cover loop keeps the
+node kept or expanded after it may lie outside it.  The cover loop keeps the
 ideals of the loop that fires every transition, in the same order.  The
 cover a saturation computes is limited by the nodes the saturation keeps
 (at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
@@ -466,37 +466,68 @@ class TestOmegaCoverPruning:
 
 
 @pytest.fixture
-def kept_after_cover(monkeypatch):
-    """Runs a witness search of a net against an automaton, and returns,
-    for each node it keeps once a complete cover holds the final marking,
-    whether that cover holds the node's marking too: nothing for a search
-    that keeps too few nodes to compute a cover."""
-    holding = []  # the complete cover that holds the final marking, once computed
-    kept = []
+def holding_cover(monkeypatch):
+    """The complete cover that holds the final marking, once a search
+    computes one; clear it before each search."""
+    holding = []
     cover = backward.forward_cover
 
     def spy(net, settings=DEFAULT, limit=None):
         result = cover(net, settings, limit)
-        if result is not None and result.below(net.final):
+        if result is not None and naive_member_down(net.final, result):
             holding.append(result)
         return result
+
+    monkeypatch.setattr(backward, "forward_cover", spy)
+    return holding
+
+
+@pytest.fixture
+def kept_after_cover(monkeypatch, holding_cover):
+    """Runs a witness search of a net against an automaton, and returns,
+    for each node it keeps once a complete cover holds the final marking,
+    whether that cover holds the node's marking too: nothing for a search
+    that keeps too few nodes to compute a cover."""
+    kept = []
 
     class Recording(backward.Antichain):
         def add(self, m):
             if not super().add(m):
                 return False
-            if holding:
-                kept.append(naive_member_down(m, holding[0]))
+            if holding_cover:
+                kept.append(naive_member_down(m, holding_cover[0]))
             return True
 
     def search(net, a):
-        holding.clear()
+        holding_cover.clear()
         kept.clear()
         saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
         return kept[:]
 
-    monkeypatch.setattr(backward, "forward_cover", spy)
     monkeypatch.setattr(backward, "Antichain", Recording)
+    return search
+
+
+@pytest.fixture
+def expanded_after_cover(monkeypatch, holding_cover):
+    """Runs a witness search of a net against an automaton, and returns,
+    for each predecessor it computes once a complete cover holds the final
+    marking, whether that cover holds the expanded marking."""
+    expanded = []
+    pred = backward._pred
+
+    def recording(v, pre, post):
+        if holding_cover:
+            expanded.append(naive_member_down(v, holding_cover[0]))
+        return pred(v, pre, post)
+
+    def search(net, a):
+        holding_cover.clear()
+        expanded.clear()
+        saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+        return expanded[:]
+
+    monkeypatch.setattr(backward, "_pred", recording)
     return search
 
 
@@ -522,6 +553,30 @@ class TestKeptInsideCover:
         b = candidate_nfa(k, bit)
         for net, a in ((n1, b), (n2, backward_complement(b))):
             after = kept_after_cover(net, a)
+            assert after and after.count(False) == 0
+
+
+class TestExpandedInsideCover:
+    """Once a witness search's complete cover holds the final marking, it
+    expands no node outside that cover: such a node's predecessors all lie
+    outside it too."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pump_nets(self, n, expanded_after_cover):
+        net = pump_net(n)
+        rng = random.Random(n)
+        after = []
+        for _ in range(20):
+            after += expanded_after_cover(net, random_nfa(rng, rng.randint(3, 6), net.alphabet))
+        assert after and after.count(False) == 0
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_candidate_searches(self, k, bit, expanded_after_cover):
+        n1, n2 = last_letter_pair(k)
+        b = candidate_nfa(k, bit)
+        for net, a in ((n1, b), (n2, backward_complement(b))):
+            after = expanded_after_cover(net, a)
             assert after and after.count(False) == 0
 
 

@@ -20,7 +20,7 @@ from regsep.fileio import (
     save_automaton,
     save_net,
 )
-from regsep.generators import last_letter_net, random_net_pair
+from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.ideals import OMEGA
 from regsep.separator import separate
 
@@ -87,12 +87,27 @@ class TestNetFormat:
 
 class TestAutomatonFormat:
     def test_round_trip_with_annotations(self, tmp_path):
-        n1, n2 = make_worked_pair()
-        core = separate(n1, n2).core
-        path = tmp_path / "a.aut"
-        save_automaton(core, str(path))
-        back = automaton_from_dict(json.loads(path.read_text()))
-        assert back == core
+        # the last-letter core has 93 states, so the file's sorted keys
+        # put i10 before i2; the annotations come back in state order
+        for n1, n2 in (make_worked_pair(), last_letter_pair(3)):
+            core = separate(n1, n2).core
+            path = tmp_path / "a.aut"
+            save_automaton(core, str(path))
+            back = automaton_from_dict(json.loads(path.read_text()))
+            assert back == core
+
+    def test_annotation_of_an_undeclared_state_rejected(self):
+        raw = {
+            "states": ["q"],
+            "alphabet": ["a"],
+            "initial": ["q"],
+            "final": [],
+            "transitions": [],
+            "annotation_places": ["p"],
+            "annotations": {"q": {"p": 1}, "r": {"p": 2}},
+        }
+        with pytest.raises(InputError, match="undeclared state 'r'"):
+            automaton_from_dict(raw)
 
     def test_omega_serialized_as_w(self):
         n1, n2 = make_worked_pair()

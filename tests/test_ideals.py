@@ -314,15 +314,6 @@ class TestIdealIndex:
             assert index.containing(s) == found
             assert index.mask(s) == sum(1 << k for k, u in enumerate(ideals) if u in found)
 
-    @given(index_queries())
-    @settings(max_examples=30, deadline=None)
-    def test_matches_the_antichain(self, case):
-        ideals, queries = case
-        chain = IdealAntichain(ideals)
-        index = IdealIndex(chain)
-        for s in queries:
-            assert sorted(index.containing(s)) == sorted(chain.below(s))
-
     def test_empty_and_one_ideal(self):
         assert IdealIndex([]).mask((0, W)) == 0
         assert IdealIndex([]).containing((0,)) == []

@@ -41,7 +41,7 @@ class TestWorkedExample:
         bundle = separate(n1, n2)
         core = bundle.core
         assert len(core.states) == 4
-        ann = core.annotation_map()
+        ann = dict(core.annotations)
         ideal_of = {ann[s]: s for s in ann}
         assert set(ideal_of) == {(0, 2), (1, 1), (W, 0)}
         s_init = ideal_of[(0, 2)]

@@ -185,8 +185,8 @@ UNUSED_EXPORTS = {
 }
 
 
-def test_no_dead_exports():
-    # a public name that only the tests call is API nobody else needs
+def _used_names() -> set[str]:
+    """Every name and attribute the package reads, `__init__.py` aside."""
     used = set()
     for _, tree in _modules(skip=("__init__.py",)):
         for node in ast.walk(tree):
@@ -194,4 +194,32 @@ def test_no_dead_exports():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(regsep.__all__) - used) == sorted(UNUSED_EXPORTS)
+    return used
+
+
+def test_no_dead_exports():
+    # a public name that only the tests call is API nobody else needs
+    assert sorted(set(regsep.__all__) - _used_names()) == sorted(UNUSED_EXPORTS)
+
+
+# public methods that no module of the package uses, each kept for a reason
+UNUSED_METHODS = {
+    "BackwardBound.at_least": "the paper's basis-size bound; the acceptance gate checks it",
+    "InvariantCertificate.bound_ideal_count": "the paper's ideal-count bound; the acceptance gate checks it",
+}
+
+
+def test_no_dead_methods():
+    # the same rule for the public methods of the package's classes
+    used = _used_names()
+    found = [
+        f"{cls.name}.{func.name}"
+        for _, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef)
+        and not func.name.startswith("_")
+        and func.name not in used
+    ]
+    assert sorted(found) == sorted(UNUSED_METHODS)
