@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
-from .backward import PRUNE_AFTER, replay_chain, saturate
+from .backward import replay_chain, saturate
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
 from .ideals import OmegaMarking, check_omega_marking, omega_leq
@@ -260,13 +260,13 @@ def net_automaton_intersection_witness(
     state.  Saturation starts from every (final state, final marking) pair;
     a pair (initial state, m) with m below the initial marking witnesses a
     word in the intersection, replayed forward from the recorded chain.
-    The search is pruned by the net's forward cover, and ends once that
-    cover misses the final marking (see `saturate`).
+    The search computes the net's forward cover first: it ends at a cover
+    that misses the final marking, or is pruned by one that holds it.
     """
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:
         back.setdefault((r, letter), []).append(s)
-    chains, parents, _ = saturate(net, sorted(a.final), back, settings, PRUNE_AFTER)
+    chains, parents, _ = saturate(net, sorted(a.final), back, settings, 0)
     for q0 in sorted(a.initial):
         for b in chains.get(q0, ()):
             if omega_leq(b, net.initial):

@@ -39,8 +39,7 @@ def pred_basis(net: LabeledPetriNet, v: Marking, t: str) -> Marking:
     return _pred(v, tr.pre, tr.post)
 
 
-# kept nodes before a witness search first computes the cover, and the
-# least limit of any search's first cover
+# the least limit of a pruned search's first cover (see `saturate`)
 PRUNE_AFTER = 64
 
 
@@ -69,7 +68,7 @@ def forward_cover(
             up = node
             while up is not None:
                 a, up = up
-                if all(map(le, a, y)):
+                if a != y and all(map(le, a, y)):  # an equal ancestor accelerates nothing
                     y = tuple(map(lambda x, z: z if x == z else OMEGA, a, y))
             if kept.add(y):
                 nodes += 1
@@ -105,11 +104,12 @@ def saturate(
     them for a smaller one, never through `drop`.
 
     With `prune_after` n, once n nodes are kept the search computes
-    `forward_cover(net)`, limited to as many nodes but at least
-    `PRUNE_AFTER` and at most the node budget, so only the saturation ever
-    runs out of budget; a cover past its limit is retried once four times
-    the limit are kept.  A complete cover holds the final marking iff it is
-    coverable: it holds every reachable marking, and Karp-Miller
+    `forward_cover(net)`, limited to as many nodes but at least `PRUNE_AFTER`
+    and at most the node budget, so only the saturation ever runs out of
+    budget; a cover past its limit is retried once four times the limit are
+    kept.  Every pruned search in the package passes 0, so its cover comes
+    before its first expansion.  A complete cover holds the final marking iff
+    it is coverable: it holds every reachable marking, and Karp-Miller
     acceleration adds none that no run covers.  A cover that holds it prunes
     a "witness" `_search`: indexed as an `IdealIndex`, it is asked once per
     predecessor, and no node outside it is kept from then on, nor expanded,

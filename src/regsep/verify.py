@@ -38,8 +38,8 @@ def verify_separator(
     last-letter candidate whose minimal DFA has over 2^k.  The costly
     direction is a prefix-shaped candidate: the k-th letter from the start
     at k=10 takes 63-91 ms, and 4.5-7.8 ms on its minimal DFA (Python
-    3.11.7, 2 vCPUs).  Both searches are pruned by, or end at, the net's
-    forward cover (see `backward.saturate`).
+    3.11.7, 2 vCPUs).  Both searches start from the net's forward cover,
+    and are pruned by it or end at it (see `backward.saturate`).
     """
     sigma = set(n1.alphabet) | set(n2.alphabet)
     if set(b.alphabet) != sigma:

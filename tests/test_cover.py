@@ -7,17 +7,18 @@ unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order, also where the cover has
 an OMEGA column, and once a complete cover holds the final marking, no
 node kept or expanded after it may lie outside it.  The cover loop keeps the
-ideals of the loop that fires every transition, in the same order.  The
-cover a saturation computes is limited by the nodes the saturation keeps
-(at least `PRUNE_AFTER`, at most the budget), so a net with a huge cover
-costs no more than its search.  A decision computes the cover first and
-answers from the first complete one, and a witness search ends at one that
-misses the final marking: neither expands a node after it.  `separate`
-decides, then saturates: it asks `coverable` on the product, with the same
-cover schedule, refuses exactly the coverable products and otherwise keeps
-the unpruned `prestar_basis`.  The complete cover of a disjoint pair's
-product is itself an inductive invariant, inside the complement of the
-backward basis.
+ideals of the loop that fires every transition, in the same order.  Every
+pruned search, a decision or a witness search, computes the cover before
+it expands a node, limited by the nodes it keeps (at least `PRUNE_AFTER`,
+at most the budget), so a net with a huge cover costs no more than its
+search.  A decision answers from the first complete cover, and a witness
+search ends at one that misses the final marking: neither expands a node
+after it.  `separate` decides, then saturates: it asks `coverable` on the
+product, with the same cover schedule, refuses exactly the coverable
+products and otherwise keeps the unpruned `prestar_basis`.  The complete
+cover of a disjoint pair's product is itself an inductive invariant,
+inside the complement of the backward basis.  `verify_separator` reads
+the verdicts and witness words of the unpruned list loop.
 """
 
 from __future__ import annotations
@@ -247,18 +248,24 @@ class TestPrunedCoverable:
             final=frozenset({"q"}),
         )
         assert net_automaton_intersection_witness(net, every_word) is None
-        assert covers == [(68, True)]
-        assert preds_after_cover and not any(preds_after_cover)
+        assert covers == [(64, True)]
+        assert preds_after_cover == []  # the cover comes before any node
 
     @pytest.mark.parametrize("k", [6, 7])
     @pytest.mark.parametrize("bit", [1, 0])
     def test_witness_searches_keep_their_schedule(self, k, bit, covers):
         # the verifications of the benchmark's candidates: each witness
-        # search first computes the cover once it keeps PRUNE_AFTER nodes,
-        # limited to the nodes it keeps
+        # search computes the cover before it expands a node, limited to
+        # PRUNE_AFTER nodes
         assert verify_separator(*last_letter_pair(k), candidate_nfa(k, bit)).passed is bool(bit)
-        assert covers == [(66, True), (65, True)]
+        assert covers == [(64, True), (64, True)]
         assert all(limit >= PRUNE_AFTER for limit, _ in covers)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_candidate_searches_expand_no_node_before_the_cover(self, k, bit, preds_after_cover):
+        assert verify_separator(*last_letter_pair(k), candidate_nfa(k, bit)).passed is bool(bit)
+        assert preds_after_cover and all(preds_after_cover)
 
 
 class TestCoverBudget:
@@ -310,6 +317,27 @@ class TestCoverBudget:
                 coverable(net, Settings(node_budget=n))
         for n in range(cover_nodes, 3 * PRUNE_AFTER):
             assert coverable(net, Settings(node_budget=n)) is answer
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_witness_search_cover_is_limited_to_the_budget(self, k, bit):
+        # the same for the witness searches of a verification, once the
+        # budget holds the co-candidate's subsets: under a budget too small
+        # for the nets' covers, 2k + 2 nodes each, the search runs out,
+        # never the cover
+        n1, n2 = last_letter_pair(k)
+        b = candidate_nfa(k, bit)
+        subsets = len(backward_complement(b).states)
+        cover_nodes = 2 * k + 2
+        assert len(forward_cover(n1)) == len(forward_cover(n2)) == cover_nodes
+        for n in range(1, subsets):
+            with pytest.raises(BudgetExceededError, match=rf"^subset construction exceeded {n} "):
+                verify_separator(n1, n2, b, Settings(node_budget=n))
+        for n in range(subsets, cover_nodes):
+            with pytest.raises(BudgetExceededError, match=rf"^saturation kept over {n} nodes"):
+                verify_separator(n1, n2, b, Settings(node_budget=n))
+        for n in range(cover_nodes, 3 * PRUNE_AFTER):
+            assert verify_separator(n1, n2, b, Settings(node_budget=n)).passed is bool(bit)
 
     def test_cli_disjoint_budget_counts_the_search_only(self, tmp_path, monkeypatch, capsys):
         # the cover of the last-letter k=3 product keeps 20 nodes; the cover
@@ -391,15 +419,18 @@ def preds_after_cover(monkeypatch, covers):
 class TestLargeCovers:
     """The runs of `token_chain(300, ...)` never start with b, and its
     complete cover holds about 45,000 ideals; computing the cover in full
-    took 53 s already for `token_chain(150, 1)`."""
+    took 53 s already for `token_chain(150, 1)`.  Every search on it
+    starts with a cover limited to `PRUNE_AFTER` nodes, which gives up."""
 
-    def test_small_search_computes_no_cover(self, covers):
+    def test_small_search_pays_one_limited_cover(self, covers):
+        """A small search pays at most one cover, limited to 64 nodes."""
         net = token_chain(300, 1)
         assert disjoint(net, STARTS_WITH_B)
         assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
-        # `disjoint` computes only the stuck product's one-ideal cover, and
-        # the small witness searches compute none
-        assert covers == [(64, True)]
+        # `disjoint` computes the stuck product's one-ideal cover; the
+        # chain's witness search gives up on its 64-node cover and answers
+        # from its fixpoint, and STARTS_WITH_B's cover is complete
+        assert covers == [(64, True), (64, False), (64, True)]
 
     def test_large_search_limits_the_cover(self, covers):
         # covering 20 tokens in p3 has 231 minimal markings
@@ -407,9 +438,10 @@ class TestLargeCovers:
         assert coverable(net) and prestar_basis(net).coverable
         assert disjoint(net, STARTS_WITH_B)
         assert verify_separator(net, STARTS_WITH_B, STARTS_WITH_B_NFA).passed
-        # the chain's own searches give up on the cover; the product with
-        # STARTS_WITH_B cannot move, so its cover is one ideal
-        assert covers == [(64, False), (64, True), (64, False), (256, False)]
+        # the chain's own searches give up on the cover, the witness search
+        # again once it keeps four times the limit; the product with
+        # STARTS_WITH_B cannot move, and STARTS_WITH_B's own cover is small
+        assert covers == [(64, False), (64, True), (64, False), (256, False), (64, True)]
         assert not coverable(replace(net, initial=(19, 0, 0)))
 
 
@@ -463,6 +495,36 @@ class TestOmegaCoverPruning:
             unpruned += len(want[1])
             witnesses += word is not None
         assert (pruned, witnesses, kept, unpruned) == counts
+
+
+class TestWitnessWords:
+    """`verify_separator`, whose searches prune from the start, reads the
+    verdicts and witness words of the unpruned list loop."""
+
+    @staticmethod
+    def assert_unpruned_words(n1, n2, b, name) -> int:
+        report = verify_separator(n1, n2, b)
+        want = (list_intersection_witness(n1, b),
+                list_intersection_witness(n2, backward_complement(b)))
+        assert (report.disjointness_witness, report.containment_witness) == want, name
+        assert (report.disjointness_ok, report.containment_ok) == (want[0] is None, want[1] is None)
+        return sum(w is not None for w in want)
+
+    def test_separators_of_separation_pairs(self):
+        checked = 0
+        for name, n1, n2 in separation_pairs():
+            try:
+                b = separate(n1, n2).separator
+            except NotDisjointError:
+                continue
+            assert self.assert_unpruned_words(n1, n2, b, name) == 0
+            checked += 1
+        assert checked == 199
+
+    def test_last_letter_candidates(self):
+        witnesses = sum(self.assert_unpruned_words(*last_letter_pair(k), candidate_nfa(k, bit), (k, bit))
+                        for k in range(2, 8) for bit in (0, 1))
+        assert witnesses == 12
 
 
 @pytest.fixture
