@@ -266,7 +266,7 @@ def net_automaton_intersection_witness(
     back: dict[tuple[str, str], list[str]] = {}
     for s, letter, r in a.transitions:
         back.setdefault((r, letter), []).append(s)
-    chains, parents, _ = saturate(net, sorted(a.final), back, settings, 0)
+    chains, parents, _ = saturate(net, sorted(a.final), back, settings, "witness")
     for q0 in sorted(a.initial):
         for b in chains.get(q0, ()):
             if omega_leq(b, net.initial):

@@ -86,8 +86,7 @@ def saturate(
     roots: Sequence[Hashable],
     back: Mapping[tuple[Hashable, str], Sequence[Hashable]],
     settings: Settings = DEFAULT,
-    prune_after: int | None = None,
-    _search: Literal["witness", "decision"] = "witness",
+    _search: Literal["witness", "decision"] | None = None,
 ) -> tuple[defaultdict[Hashable, Antichain], dict, int] | None:
     """FIFO backward saturation over (control state, marking) nodes, from
     the final marking at every root state.  Expanding (q, v), each transition
@@ -103,27 +102,27 @@ def saturate(
     refuse it, because elements leave an antichain only when `add` evicts
     them for a smaller one, never through `drop`.
 
-    With `prune_after` n, once n nodes are kept the search computes
-    `forward_cover(net)`, limited to as many nodes but at least `PRUNE_AFTER`
-    and at most the node budget, so only the saturation ever runs out of
-    budget; a cover past its limit is retried once four times the limit are
-    kept.  Every pruned search in the package passes 0, so its cover comes
-    before its first expansion.  A complete cover holds the final marking iff
-    it is coverable: it holds every reachable marking, and Karp-Miller
-    acceleration adds none that no run covers.  A cover that holds it prunes
-    a "witness" `_search`: indexed as an `IdealIndex`, it is asked once per
-    predecessor, and no node outside it is kept from then on, nor expanded,
-    since such a node has only predecessors outside it too.  The pruning
-    is exact however late it starts: markings below a coverable one are
-    coverable and uncoverable ones have only uncoverable predecessors, so
-    the coverable nodes, their order and their parents are the unpruned
-    run's.  A "decision" search (one state only) returns None.  A cover
+    Given a `_search`, the saturation is pruned, all on one schedule: before
+    its first expansion it computes `forward_cover(net)`, limited to as many
+    nodes as it keeps but at least `PRUNE_AFTER` and at most the node budget,
+    so only the saturation ever runs out of budget; a cover past its limit is
+    retried once four times the limit are kept.  A complete cover holds the
+    final marking iff it is coverable: it holds every reachable marking, and
+    Karp-Miller acceleration adds none that no run covers.  A cover that
+    holds it prunes a "witness" `_search`: indexed as an `IdealIndex`, it
+    is asked once per predecessor, and no node outside it is kept from then
+    on, nor expanded, since such a node has only predecessors outside it
+    too.  The pruning is exact however late it starts: markings below a
+    coverable one are coverable and uncoverable ones have only uncoverable
+    predecessors, so the coverable nodes, their order and their parents are
+    the unpruned run's.  A "decision" search (one state only) returns None.  A cover
     that misses it ends the search, since no kept node is coverable."""
     chains: defaultdict[Hashable, Antichain] = defaultdict(Antichain)
     parents: dict = {(q, net.final): None for q in roots}
     for q in roots:
         chains[q].add(net.final)
     cover = None
+    retry = 0 if _search else None  # kept nodes at which the next cover is computed
     refused: set = set()  # without this record of offers, last-letter bases took 1.5-1.8x as long
     slots: dict = {}  # (pre, post) -> its index in a row; one per transition was 10% slower
     for t in net.transitions:
@@ -132,10 +131,10 @@ def saturate(
     queue = deque(parents)
     iterations = 0
     while queue:
-        if prune_after is not None and len(parents) >= prune_after:
+        if retry is not None and len(parents) >= retry:
             limit = min(max(len(parents), PRUNE_AFTER), settings.node_budget)
             ideals = forward_cover(net, settings, limit)
-            prune_after = None if ideals is not None else 4 * limit
+            retry = None if ideals is not None else 4 * limit
             if ideals is not None:
                 if not any(omega_leq(net.final, u) for u in ideals):
                     break  # the final marking is not coverable
@@ -197,7 +196,7 @@ def coverable(net: LabeledPetriNet, settings: Settings = DEFAULT) -> bool:
     forward cover, which comes before any node is expanded (see there).
     `separate` and the `invariant` command ask this first and saturate
     `prestar_basis` only when it is False."""
-    saturation = saturate(net, (None,), _one_state(net), settings, 0, "decision")
+    saturation = saturate(net, (None,), _one_state(net), settings, "decision")
     return saturation is None or any(omega_leq(b, net.initial) for b in saturation[0][None])
 
 

@@ -2,7 +2,8 @@
 
 `forward_cover` is compared with exhaustive reachability on bounded nets
 and with bounded runs and the backward basis on unbounded ones.  Pruning a
-saturation by it, however late the pruning starts, must leave exactly the
+saturation by it, however late the pruning starts (a late start is the
+retry after a first cover that gives up), must leave exactly the
 unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order, also where the cover has
 an OMEGA column, and once a complete cover holds the final marking, no
@@ -23,6 +24,7 @@ the verdicts and witness words of the unpruned list loop.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 from dataclasses import replace
@@ -75,8 +77,33 @@ def one_state_back(net) -> dict:
     return {(None, t.label): (None,) for t in net.transitions}
 
 
-def assert_pruned_is_restriction(net, roots, back, prune_after=0) -> tuple[int, int]:
-    """`saturate` pruned after `prune_after` kept nodes and `saturate`
+@contextlib.contextmanager
+def cover_retried_at(start: int):
+    """Within it, a pruned search takes the retry path: its first cover
+    gives up, as on a net whose cover is larger than its limit, and the
+    search computes the cover again once it keeps four times that limit.
+    The least limit is `start // 4` here instead of `PRUNE_AFTER`, so the
+    retry comes at `start` kept nodes, or later for a search with more
+    roots.  A `start` of 0 changes nothing: the cover comes before the
+    first expansion."""
+    if not start:
+        yield
+        return
+    cover = backward.forward_cover
+    calls = []
+
+    def first_gives_up(net, settings=DEFAULT, limit=None):
+        calls.append(limit)
+        return None if len(calls) == 1 else cover(net, settings, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backward, "PRUNE_AFTER", start // 4)
+        patch.setattr(backward, "forward_cover", first_gives_up)
+        yield
+
+
+def assert_pruned_is_restriction(net, roots, back, start=0) -> tuple[int, int]:
+    """A witness search pruned from `start` kept nodes on and `saturate`
     unpruned agree on the markings inside the cover.  Returns the kept nodes
     of both."""
     cover = forward_cover(net)
@@ -89,7 +116,8 @@ def assert_pruned_is_restriction(net, roots, back, prune_after=0) -> tuple[int, 
         return {q: c for q, c in kept.items() if c}, [(n, p) for n, p in parents.items() if inside(n[1])]
 
     chains, parents, _ = saturate(net, roots, back)
-    pruned_chains, pruned_parents, _ = saturate(net, roots, back, DEFAULT, prune_after)
+    with cover_retried_at(start):
+        pruned_chains, pruned_parents, _ = saturate(net, roots, back, DEFAULT, "witness")
     assert restricted(pruned_chains, pruned_parents) == restricted(chains, parents)
     return len(pruned_parents), len(parents)
 
@@ -123,11 +151,11 @@ class TestPrunedSaturation:
         assert len(kept) == 240
         assert sum(p for p, _ in kept) < sum(u for _, u in kept)
 
-    @pytest.mark.parametrize("prune_after", [0, 8, PRUNE_AFTER])
+    @pytest.mark.parametrize("start", [0, 8, PRUNE_AFTER])
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_last_letter_candidates(self, k, prune_after):
+    def test_last_letter_candidates(self, k, start):
         for net, aut in candidate_searches(k):
-            pruned, unpruned = assert_pruned_is_restriction(net, sorted(aut.final), _back(aut), prune_after)
+            pruned, unpruned = assert_pruned_is_restriction(net, sorted(aut.final), _back(aut), start)
             assert pruned <= unpruned
 
 
@@ -466,9 +494,11 @@ def pump_net(n: int) -> LabeledPetriNet:
 class TestOmegaCoverPruning:
     @pytest.mark.parametrize("n, counts", [(6, (10, 3, 685, 1485)), (8, (13, 3, 945, 2461))])
     def test_witness_searches_against_unpruned_lists(self, n, counts, covers):
-        """Witness searches that keep 64 nodes and then prune by a cover
-        with an OMEGA column find the unpruned list loop's witness, and keep
-        its nodes and parents, in order, inside the cover."""
+        """Witness searches that prune by a cover with an OMEGA column only
+        once they keep 64 nodes, on the retry path after a first cover that
+        gives up, keep the unpruned list loop's nodes and parents, in order,
+        inside the cover; the witness search, which prunes from the start,
+        finds the list loop's witness."""
         net = pump_net(n)
         cover = forward_cover(net)
         assert sorted({u[-1] for u in cover}) == [0, OMEGA] and len(cover) == n
@@ -477,7 +507,8 @@ class TestOmegaCoverPruning:
         for _ in range(20):
             a = random_nfa(rng, rng.randint(3, 6), net.alphabet)
             covers.clear()
-            _, parents, _ = saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+            with cover_retried_at(PRUNE_AFTER):
+                _, parents, _ = saturate(net, sorted(a.final), _back(a), DEFAULT, "witness")
             if not covers:
                 continue  # kept under 64 nodes
             [(limit, complete)] = covers
@@ -546,10 +577,11 @@ def holding_cover(monkeypatch):
 
 @pytest.fixture
 def kept_after_cover(monkeypatch, holding_cover):
-    """Runs a witness search of a net against an automaton, and returns,
-    for each node it keeps once a complete cover holds the final marking,
-    whether that cover holds the node's marking too: nothing for a search
-    that keeps too few nodes to compute a cover."""
+    """Runs a witness search of a net against an automaton, pruned from
+    `start` kept nodes on (see `cover_retried_at`), and returns, for each
+    node it keeps once a complete cover holds the final marking, whether
+    that cover holds the node's marking too: nothing for a search that
+    keeps too few nodes to reach its cover."""
     kept = []
 
     class Recording(backward.Antichain):
@@ -560,10 +592,11 @@ def kept_after_cover(monkeypatch, holding_cover):
                 kept.append(naive_member_down(m, holding_cover[0]))
             return True
 
-    def search(net, a):
+    def search(net, a, start):
         holding_cover.clear()
         kept.clear()
-        saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+        with cover_retried_at(start):
+            saturate(net, sorted(a.final), _back(a), DEFAULT, "witness")
         return kept[:]
 
     monkeypatch.setattr(backward, "Antichain", Recording)
@@ -572,9 +605,10 @@ def kept_after_cover(monkeypatch, holding_cover):
 
 @pytest.fixture
 def expanded_after_cover(monkeypatch, holding_cover):
-    """Runs a witness search of a net against an automaton, and returns,
-    for each predecessor it computes once a complete cover holds the final
-    marking, whether that cover holds the expanded marking."""
+    """Runs a witness search of a net against an automaton, pruned from
+    `start` kept nodes on, and returns, for each predecessor it computes
+    once a complete cover holds the final marking, whether that cover holds
+    the expanded marking."""
     expanded = []
     pred = backward._pred
 
@@ -583,14 +617,21 @@ def expanded_after_cover(monkeypatch, holding_cover):
             expanded.append(naive_member_down(v, holding_cover[0]))
         return pred(v, pre, post)
 
-    def search(net, a):
+    def search(net, a, start):
         holding_cover.clear()
         expanded.clear()
-        saturate(net, sorted(a.final), _back(a), DEFAULT, PRUNE_AFTER)
+        with cover_retried_at(start):
+            saturate(net, sorted(a.final), _back(a), DEFAULT, "witness")
         return expanded[:]
 
     monkeypatch.setattr(backward, "_pred", recording)
     return search
+
+
+# the kept nodes at which the searches below reach their cover: before
+# the first expansion, as every pruned search in the package, and on the
+# retry path at 64 kept nodes, as `TestOmegaCoverPruning`
+STARTS = (0, PRUNE_AFTER)
 
 
 class TestKeptInsideCover:
@@ -599,13 +640,14 @@ class TestKeptInsideCover:
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_pump_nets(self, n, kept_after_cover):
-        # the searches of `TestOmegaCoverPruning` that compute a cover
         net = pump_net(n)
         rng = random.Random(n)
-        after = []
+        after = {start: [] for start in STARTS}
         for _ in range(20):
-            after += kept_after_cover(net, random_nfa(rng, rng.randint(3, 6), net.alphabet))
-        assert after and after.count(False) == 0
+            a = random_nfa(rng, rng.randint(3, 6), net.alphabet)
+            for start in STARTS:
+                after[start] += kept_after_cover(net, a, start)
+        assert all(kept and kept.count(False) == 0 for kept in after.values())
 
     @pytest.mark.parametrize("k", [6, 7])
     @pytest.mark.parametrize("bit", [1, 0])
@@ -614,8 +656,9 @@ class TestKeptInsideCover:
         n1, n2 = last_letter_pair(k)
         b = candidate_nfa(k, bit)
         for net, a in ((n1, b), (n2, backward_complement(b))):
-            after = kept_after_cover(net, a)
-            assert after and after.count(False) == 0
+            for start in STARTS:
+                after = kept_after_cover(net, a, start)
+                assert after and after.count(False) == 0
 
 
 class TestExpandedInsideCover:
@@ -627,10 +670,12 @@ class TestExpandedInsideCover:
     def test_pump_nets(self, n, expanded_after_cover):
         net = pump_net(n)
         rng = random.Random(n)
-        after = []
+        after = {start: [] for start in STARTS}
         for _ in range(20):
-            after += expanded_after_cover(net, random_nfa(rng, rng.randint(3, 6), net.alphabet))
-        assert after and after.count(False) == 0
+            a = random_nfa(rng, rng.randint(3, 6), net.alphabet)
+            for start in STARTS:
+                after[start] += expanded_after_cover(net, a, start)
+        assert all(expanded and expanded.count(False) == 0 for expanded in after.values())
 
     @pytest.mark.parametrize("k", [6, 7])
     @pytest.mark.parametrize("bit", [1, 0])
@@ -638,8 +683,9 @@ class TestExpandedInsideCover:
         n1, n2 = last_letter_pair(k)
         b = candidate_nfa(k, bit)
         for net, a in ((n1, b), (n2, backward_complement(b))):
-            after = expanded_after_cover(net, a)
-            assert after and after.count(False) == 0
+            for start in STARTS:
+                after = expanded_after_cover(net, a, start)
+                assert after and after.count(False) == 0
 
 
 def cover_loop_nets():

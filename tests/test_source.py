@@ -178,38 +178,6 @@ def test_one_saturation_per_question():
     ]
 
 
-def _names_prune_after(node: ast.AST) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        return any(alias.name == "PRUNE_AFTER" for alias in node.names)
-    return "PRUNE_AFTER" in (getattr(node, "id", None), getattr(node, "attr", None))
-
-
-def _pruning_argument(call: ast.Call) -> ast.expr | None:
-    # `saturate(net, roots, back, settings, prune_after, _search)`
-    if len(call.args) > 4:
-        return call.args[4]
-    return next((kw.value for kw in call.keywords if kw.arg == "prune_after"), None)
-
-
-def test_one_cover_schedule():
-    # every pruned search computes the forward cover before it expands a
-    # node; `PRUNE_AFTER` is only the first cover's limit, inside `saturate`
-    found = []
-    for name, tree in _modules():
-        owner = _owners(tree)
-        for node in ast.walk(tree):
-            if name != "backward.py" and _names_prune_after(node):
-                found.append(f"{name}:{node.lineno} names PRUNE_AFTER")
-            if isinstance(node, ast.Call) and "saturate" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            ):
-                arg = _pruning_argument(node)
-                if arg is not None and not (isinstance(arg, ast.Constant) and type(arg.value) is int
-                                            and arg.value == 0):
-                    found.append(f"{name}:{owner.get(id(node), '<module>')} prunes after {ast.unparse(arg)}")
-    assert found == []
-
-
 # exports that no module of the package uses, each kept for a reason
 UNUSED_EXPORTS = {
     "member": "word membership of an automaton; the acceptance gate checks with it",
