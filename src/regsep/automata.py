@@ -112,7 +112,8 @@ def _subset_construction(
 
 
 def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
-    """Subset construction; always yields a complete DFA (empty set as sink).
+    """Subset construction: a complete DFA of the subsets reachable from the
+    initial one (the empty one only if reached), one move per letter each.
     Raises BudgetExceededError once it holds more than `node_budget` subsets."""
     table = a.successors()
 
@@ -121,10 +122,6 @@ def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
 
     start = frozenset(a.initial)
     names, edges = _subset_construction(start, post, a.alphabet, settings)
-    sink = frozenset()
-    if sink not in names:
-        names[sink] = _subset_name(sink)
-        edges.extend((names[sink], letter, names[sink]) for letter in a.alphabet)
     return Nfa(
         states=tuple(names.values()),
         alphabet=a.alphabet,

@@ -43,16 +43,14 @@ def pred_basis(net: LabeledPetriNet, v: Marking, t: str) -> Marking:
 PRUNE_AFTER = 64
 
 
-def forward_cover(
-    net: LabeledPetriNet, settings: Settings = DEFAULT, limit: int | None = None
-) -> IdealAntichain | None:
+def forward_cover(net: LabeledPetriNet, limit: int) -> IdealAntichain | None:
     """The maximal ideals of the downward closure of the reachable set, by a
     FIFO Karp-Miller exploration (JCSS 1969): a successor above an ancestor
     on its path gets OMEGA where it exceeds it, and one below a kept label
-    is a leaf.  Returns None once more than `limit` nodes are kept, else
-    raises BudgetExceededError once more than `settings.node_budget` are.
-    Transitions with the same pre and post vectors give one step, and a
-    step whose pre needs a place where u is 0 is skipped before it fires."""
+    is a leaf.  Returns None once more than `limit` nodes are kept, the one
+    bound, which `saturate` caps at its budget.  Transitions with the same
+    pre and post vectors give one step, and a step whose pre needs a place
+    where u is 0 is skipped before it fires."""
     steps = {(t.pre, t.post): Antichain._mask(t.pre) for t in net.transitions}  # first-seen order
     kept = IdealAntichain([net.initial])
     queue = deque([(net.initial, None)])  # (label, parent node)
@@ -72,11 +70,8 @@ def forward_cover(
                     y = tuple(map(lambda x, z: z if x == z else OMEGA, a, y))
             if kept.add(y):
                 nodes += 1
-                if limit is not None and nodes > limit:
+                if nodes > limit:
                     return None
-                if nodes > settings.node_budget:
-                    raise BudgetExceededError(f"forward cover kept over {settings.node_budget} "
-                                              f"nodes, {len(kept)} maximal ideals so far")
                 queue.append((y, node))
     return kept
 
@@ -103,9 +98,9 @@ def saturate(
     them for a smaller one, never through `drop`.
 
     Given a `_search`, the saturation is pruned, all on one schedule: before
-    its first expansion it computes `forward_cover(net)`, limited to as many
-    nodes as it keeps but at least `PRUNE_AFTER` and at most the node budget,
-    so only the saturation ever runs out of budget; a cover past its limit is
+    its first expansion it computes `forward_cover(net, limit)`, limited to
+    the nodes it keeps but at least `PRUNE_AFTER` and at most the budget, so
+    the saturation holds the search's one budget; a cover past its limit is
     retried once four times the limit are kept.  A complete cover holds the
     final marking iff it is coverable: it holds every reachable marking, and
     Karp-Miller acceleration adds none that no run covers.  A cover that
@@ -133,7 +128,7 @@ def saturate(
     while queue:
         if retry is not None and len(parents) >= retry:
             limit = min(max(len(parents), PRUNE_AFTER), settings.node_budget)
-            ideals = forward_cover(net, settings, limit)
+            ideals = forward_cover(net, limit)
             retry = None if ideals is not None else 4 * limit
             if ideals is not None:
                 if not any(omega_leq(net.final, u) for u in ideals):

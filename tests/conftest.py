@@ -1,13 +1,16 @@
 """Shared fixtures: the worked example pair, the last-letter candidate NFAs
-and their prefix-shaped mirror images, the automaton of all words and the
-random disjoint corpus."""
+and their prefix-shaped mirror images, the automaton of all words, the
+random disjoint corpus and a net's complete forward cover."""
 
 from __future__ import annotations
 
 import pytest
 
 from regsep.automata import Nfa
+from regsep.backward import forward_cover
+from regsep.config import DEFAULT
 from regsep.generators import LAST_LETTER_ALPHABET, random_net_pair
+from regsep.ideals import IdealAntichain
 from regsep.petri import LabeledPetriNet, Transition
 from regsep.separator import separate
 
@@ -29,6 +32,14 @@ def make_worked_pair() -> tuple[LabeledPetriNet, LabeledPetriNet]:
         final=(1,),
     )
     return n1, n2
+
+
+def complete_cover(net: LabeledPetriNet) -> IdealAntichain:
+    """The net's complete forward cover, limited to the default node budget,
+    which no net of the tests exceeds."""
+    cover = forward_cover(net, DEFAULT.node_budget)
+    assert cover is not None
+    return cover
 
 
 def candidate_nfa(k: int, bit: int) -> Nfa:

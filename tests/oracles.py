@@ -22,7 +22,7 @@ from regsep.automata import (
 )
 from regsep.backward import BackwardResult, pred_basis, replay_chain
 from regsep.config import DEFAULT, Settings
-from regsep.errors import BudgetExceededError, InputError
+from regsep.errors import InputError
 from regsep.ideals import (
     OMEGA,
     Antichain,
@@ -192,14 +192,12 @@ def bfs_cover(net: LabeledPetriNet) -> list[Marking]:
     return sorted(naive_maximal(reachable_markings(net)))
 
 
-def per_transition_forward_cover(
-    net: LabeledPetriNet, settings: Settings = DEFAULT, limit: int | None = None
-) -> IdealAntichain | None:
+def per_transition_forward_cover(net: LabeledPetriNet, limit: int) -> IdealAntichain | None:
     """The Karp-Miller cover loop that fires every transition on every
     node, as `regsep.backward.forward_cover` did before it merged the
     transitions with equal pre and post vectors and skipped the ones whose
     pre needs a place where the node is 0; kept as its reference, with the
-    same limit and budget."""
+    same limit."""
     kept = IdealAntichain([net.initial])
     queue = deque([(net.initial, None)])  # (label, parent node)
     nodes = 1
@@ -217,11 +215,8 @@ def per_transition_forward_cover(
                     y = tuple(z if x == z else OMEGA for x, z in zip(a, y))
             if kept.add(y):
                 nodes += 1
-                if limit is not None and nodes > limit:
+                if nodes > limit:
                     return None
-                if nodes > settings.node_budget:
-                    raise BudgetExceededError(f"forward cover kept over {settings.node_budget} "
-                                              f"nodes, {len(kept)} maximal ideals so far")
                 queue.append((y, node))
     return kept
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -110,14 +111,40 @@ class TestMember:
         assert not member(simple_nfa(), ("z",))
 
 
+def reachable_states(a: Nfa) -> set[str]:
+    seen = set(a.initial)
+    frontier = list(seen)
+    while frontier:
+        s = frontier.pop()
+        for p, _, r in a.transitions:
+            if p == s and r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
 class TestDeterminize:
-    def test_worked_core_gets_sink(self):
+    def test_worked_core_gets_no_unreached_sink(self):
         n1, n2 = make_worked_pair()
         core = separate(n1, n2).core
         assert len(core.states) == 4
         dfa = determinize(core)
         assert is_complete_dfa(dfa)
-        assert len(dfa.states) == 5  # the four chain states plus a sink
+        # the four chain states; no word leads to the empty subset
+        assert len(dfa.states) == 4 and "{}" not in dfa.states
+
+    def test_every_state_is_reachable(self):
+        cores = [separate(*make_worked_pair()).core]
+        cores += [separate(*last_letter_pair(k)).core for k in (2, 3, 4)]
+        rng = random.Random(23)
+        cores += [random_nfa(rng, n_states=rng.randint(2, 7)) for _ in range(200)]
+        with_empty = 0
+        for a in cores:
+            dfa = determinize(a)
+            assert is_complete_dfa(dfa)
+            assert reachable_states(dfa) == set(dfa.states)
+            with_empty += "{}" in dfa.states
+        assert 0 < with_empty < len(cores)  # the empty subset only when reached
 
     def test_language_preserved_random(self):
         rng = random.Random(11)
@@ -132,7 +159,7 @@ class TestDeterminizeBudget:
     def test_raises_past_node_budget(self):
         core = separate(*last_letter_pair(3)).core
         dfa = determinize(core)
-        n = len(dfa.states)  # all reachable, the empty sink included
+        n = len(dfa.states)  # all reachable
         # exactly the subsets it holds is enough; one fewer is not
         assert determinize(core, Settings(node_budget=n)) == dfa
         with pytest.raises(BudgetExceededError, match=rf"exceeded {n - 1} subsets: reached {n} "):
@@ -285,8 +312,11 @@ class TestMinimizeAgainstTwoPass:
         for i in range(2000):
             a = random_nfa(rng, n_states=rng.randint(2, 7), alphabet="abc"[: 1 + i % 3])
             dfa = determinize(a)
-            # the subset construction appends the empty sink even when no edge enters it
-            unreachable_sinks += all(r != "{}" for s, _, r in dfa.transitions if s != "{}")
+            if "{}" not in dfa.states:
+                # an empty sink that no edge enters, which `minimize` must drop
+                dfa = replace(dfa, states=dfa.states + ("{}",),
+                              transitions=dfa.transitions + tuple(("{}", x, "{}") for x in dfa.alphabet))
+                unreachable_sinks += 1
             assert _fields(minimize(dfa)) == _fields(two_pass_minimize(dfa))
         assert unreachable_sinks >= 500
 

@@ -8,11 +8,13 @@ unpruned saturation restricted to the cover: per-state antichains in
 element order and the parents map in key order, also where the cover has
 an OMEGA column, and once a complete cover holds the final marking, no
 node kept or expanded after it may lie outside it.  The cover loop keeps the
-ideals of the loop that fires every transition, in the same order.  Every
-pruned search, a decision or a witness search, computes the cover before
-it expands a node, limited by the nodes it keeps (at least `PRUNE_AFTER`,
-at most the budget), so a net with a huge cover costs no more than its
-search.  A decision answers from the first complete cover, and a witness
+ideals of the loop that fires every transition, in the same order, and
+gives up past the same limit.  Every pruned search, a decision or a
+witness search, computes the cover before it expands a node, limited by
+the nodes it keeps (at least `PRUNE_AFTER`, at most the budget), so a net
+with a huge cover costs no more than its search.  The cover has no budget
+of its own: past its limit it returns None, and only the search runs out
+of budget.  A decision answers from the first complete cover, and a witness
 search ends at one that misses the final marking: neither expands a node
 after it.  `separate` decides, then saturates: it asks `coverable` on the
 product, with the same cover schedule, refuses exactly the coverable
@@ -59,7 +61,7 @@ from regsep.petri import LabeledPetriNet, Transition, identity_labeled, label_ex
 from regsep.separator import separate
 from regsep.verify import verify_separator
 
-from .conftest import candidate_nfa
+from .conftest import candidate_nfa, complete_cover
 from .oracles import (
     bfs_cover,
     list_intersection_saturation,
@@ -92,9 +94,9 @@ def cover_retried_at(start: int):
     cover = backward.forward_cover
     calls = []
 
-    def first_gives_up(net, settings=DEFAULT, limit=None):
+    def first_gives_up(net, limit):
         calls.append(limit)
-        return None if len(calls) == 1 else cover(net, settings, limit)
+        return None if len(calls) == 1 else cover(net, limit)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backward, "PRUNE_AFTER", start // 4)
@@ -106,7 +108,7 @@ def assert_pruned_is_restriction(net, roots, back, start=0) -> tuple[int, int]:
     """A witness search pruned from `start` kept nodes on and `saturate`
     unpruned agree on the markings inside the cover.  Returns the kept nodes
     of both."""
-    cover = forward_cover(net)
+    cover = complete_cover(net)
 
     def inside(m):
         return naive_member_down(m, cover)
@@ -165,7 +167,7 @@ class TestForwardCover:
         n0, n1 = last_letter_pair(k)
         n = last_letter_net(0, k)
         for net in (n0, n1, product(n0, n1), product(label_expand(n, n), identity_labeled(n))):
-            assert sorted(forward_cover(net)) == bfs_cover(net)
+            assert sorted(complete_cover(net)) == bfs_cover(net)
 
     def test_bounded_random_nets_against_reachability(self):
         # a net with at most 300 reachable markings is bounded; in some of
@@ -179,7 +181,7 @@ class TestForwardCover:
                 except RuntimeError:
                     continue
                 want = bfs_cover(net)
-                assert sorted(forward_cover(net)) == want
+                assert sorted(complete_cover(net)) == want
                 checked += 1
                 below_another += len(want) < len(reached)
         assert checked > 200 and below_another > 20
@@ -195,12 +197,12 @@ class TestForwardCover:
         for seed in range(200):
             pair = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
             for net in (pair.n1, pair.n2):
-                cover = sorted(forward_cover(net))
+                cover = sorted(complete_cover(net))
                 for m in reachable_markings(net, depth=6):
                     assert naive_member_down(m, cover)
                 shuffled = list(net.transitions)
                 rng.shuffle(shuffled)
-                assert sorted(forward_cover(replace(net, transitions=tuple(shuffled)))) == cover
+                assert sorted(complete_cover(replace(net, transitions=tuple(shuffled)))) == cover
                 for u in cover:
                     target = tuple(2 if c == OMEGA else c for c in u)
                     assert prestar_basis(replace(net, final=target)).coverable
@@ -210,23 +212,18 @@ class TestForwardCover:
     def test_loop_against_per_transition_reference(self):
         """The cover loop keeps the ideals of the loop that fires every
         transition, in the same insertion order, and gives up past a limit
-        or a budget exactly where that loop does."""
+        exactly where that loop does."""
 
-        def outcome(cover, net, settings, limit):
-            try:
-                result = cover(net, settings, limit)
-            except BudgetExceededError as e:
-                return str(e)
+        def outcome(cover, net, limit):
+            result = cover(net, limit)
             return None if result is None else list(result)
 
         checked = merged = 0
         for net in cover_loop_nets():
-            full = list(per_transition_forward_cover(net))
-            assert list(forward_cover(net)) == full
+            full = list(complete_cover(net))
+            assert outcome(per_transition_forward_cover, net, DEFAULT.node_budget) == full
             for n in {1, len(full) // 2, len(full) - 1, len(full)} - {0}:
-                for settings, limit in ((DEFAULT, n), (Settings(node_budget=n), None)):
-                    want = outcome(per_transition_forward_cover, net, settings, limit)
-                    assert outcome(forward_cover, net, settings, limit) == want
+                assert outcome(forward_cover, net, n) == outcome(per_transition_forward_cover, net, n)
             checked += 1
             merged += len({(t.pre, t.post) for t in net.transitions}) < len(net.transitions)
         assert checked == 1100 and merged == 99
@@ -297,30 +294,20 @@ class TestPrunedCoverable:
 
 
 class TestCoverBudget:
-    def test_raises_past_node_budget(self):
-        # bounded, and no reachable marking lies below another, so every
-        # reachable marking is one kept node
-        net = product(*last_letter_pair(3))
-        n = len(reachable_markings(net))
-        cover = forward_cover(net)
-        assert len(cover) == n
-        # exactly the nodes it keeps is enough; one fewer is not
-        assert list(forward_cover(net, Settings(node_budget=n))) == list(cover)
-        with pytest.raises(BudgetExceededError, match=rf"forward cover kept over {n - 1} nodes"):
-            forward_cover(net, Settings(node_budget=n - 1))
-
     def test_returns_none_past_limit(self):
+        # exactly the nodes it keeps is enough; one fewer is not
         net = product(*last_letter_pair(3))
-        cover = forward_cover(net)
-        assert list(forward_cover(net, DEFAULT, len(cover))) == list(cover)
-        assert forward_cover(net, DEFAULT, len(cover) - 1) is None
+        cover = complete_cover(net)
+        assert list(forward_cover(net, len(cover))) == list(cover)
+        assert forward_cover(net, len(cover) - 1) is None
 
-    def test_limit_is_checked_before_the_budget(self):
+    def test_search_runs_out_never_the_cover(self):
         # a saturation limits its cover to the nodes it keeps, which may be
-        # its whole budget: running past both is the limit, not an error
+        # its whole budget: the cover past its limit gives up, and only the
+        # search raises
         n = last_letter_net(0, 6)
         net = product(label_expand(n, n), identity_labeled(n))
-        assert forward_cover(net, Settings(node_budget=64), 64) is None
+        assert forward_cover(net, 64) is None
         # the search keeps 68 nodes when it first computes the cover, which
         # does not fit in 68; the search itself then runs out of budget,
         # also when `separate` asks it to refuse the self pair
@@ -339,7 +326,7 @@ class TestCoverBudget:
         # a decision computes the cover before it keeps a node, limited to
         # PRUNE_AFTER nodes but never past the budget: under a budget too
         # small for the cover the search runs out, never the cover
-        assert len(forward_cover(net)) == cover_nodes
+        assert len(complete_cover(net)) == cover_nodes
         for n in range(1, cover_nodes):
             with pytest.raises(BudgetExceededError, match=rf"^saturation kept over {n} nodes"):
                 coverable(net, Settings(node_budget=n))
@@ -357,7 +344,7 @@ class TestCoverBudget:
         b = candidate_nfa(k, bit)
         subsets = len(backward_complement(b).states)
         cover_nodes = 2 * k + 2
-        assert len(forward_cover(n1)) == len(forward_cover(n2)) == cover_nodes
+        assert len(complete_cover(n1)) == len(complete_cover(n2)) == cover_nodes
         for n in range(1, subsets):
             with pytest.raises(BudgetExceededError, match=rf"^subset construction exceeded {n} "):
                 verify_separator(n1, n2, b, Settings(node_budget=n))
@@ -420,8 +407,8 @@ def covers(monkeypatch):
     calls = []  # (limit, whether a cover came back)
     cover = backward.forward_cover
 
-    def spy(net, settings=DEFAULT, limit=None):
-        result = cover(net, settings, limit)
+    def spy(net, limit):
+        result = cover(net, limit)
         calls.append((limit, result is not None))
         return result
 
@@ -500,7 +487,7 @@ class TestOmegaCoverPruning:
         inside the cover; the witness search, which prunes from the start,
         finds the list loop's witness."""
         net = pump_net(n)
-        cover = forward_cover(net)
+        cover = complete_cover(net)
         assert sorted({u[-1] for u in cover}) == [0, OMEGA] and len(cover) == n
         rng = random.Random(n)
         pruned = kept = unpruned = witnesses = 0
@@ -565,8 +552,8 @@ def holding_cover(monkeypatch):
     holding = []
     cover = backward.forward_cover
 
-    def spy(net, settings=DEFAULT, limit=None):
-        result = cover(net, settings, limit)
+    def spy(net, limit):
+        result = cover(net, limit)
         if result is not None and naive_member_down(net.final, result):
             holding.append(result)
         return result
@@ -781,7 +768,7 @@ def separator_products() -> tuple:
     out = []
     for name, n1, n2 in separation_pairs():
         prod = product(label_expand(n1, n2), identity_labeled(n2))
-        cover = DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
+        cover = DownSet(prod.dimension, tuple(sorted(complete_cover(prod))))
         greatest = None if coverable(prod) else complement_upset(prestar_basis(prod).basis)
         out.append((name, prod, cover, greatest))
     return tuple(out)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from regsep.backward import coverable, forward_cover, prestar_basis
+from regsep.backward import coverable, prestar_basis
 from regsep.config import Settings
 from regsep.errors import BudgetExceededError, InputError
 from regsep.generators import last_letter_pair, random_net_pair
@@ -18,7 +18,7 @@ from regsep.invariant import (
 )
 from regsep.petri import LabeledPetriNet, Transition, product
 
-from .conftest import make_worked_pair
+from .conftest import complete_cover, make_worked_pair
 from .oracles import all_markings, scan_check_invariant
 from .test_corpus import BOTH_NONEMPTY
 from .test_cover import separator_products
@@ -153,7 +153,7 @@ def invariant_check_cases():
             pair = random_net_pair(seed, places, transitions, norm=3)
             direct.append((f"both-nonempty-{places}-{transitions}-{seed}", product(pair.n1, pair.n2)))
     for name, prod in direct:
-        yield f"{name}-direct-cover", prod, DownSet(prod.dimension, tuple(sorted(forward_cover(prod))))
+        yield f"{name}-direct-cover", prod, DownSet(prod.dimension, tuple(sorted(complete_cover(prod))))
         if name.startswith("last-letter"):
             yield f"{name}-direct-greatest", prod, complement_upset(prestar_basis(prod).basis)
 

@@ -178,6 +178,21 @@ def test_one_saturation_per_question():
     ]
 
 
+def test_only_saturate_computes_the_cover():
+    # the cover's limit is its one bound, and `saturate` caps it at the
+    # node budget, so no cover in the package runs past the budget
+    found = []
+    for name, tree in _modules():
+        owner = _owners(tree)
+        found += [
+            f"{name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "forward_cover" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert found == ["backward.py:saturate"]
+
+
 # exports that no module of the package uses, each kept for a reason
 UNUSED_EXPORTS = {
     "member": "word membership of an automaton; the acceptance gate checks with it",
