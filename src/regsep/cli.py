@@ -165,12 +165,10 @@ def _cmd_gen_lastletter(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_random(args: argparse.Namespace) -> int:
-    pair = generators.random_net_pair(
-        args.seed, args.places, args.transitions, args.norm
-    )
-    fileio.save_net(pair.n1, f"{args.output}_1.net")
-    fileio.save_net(pair.n2, f"{args.output}_2.net")
-    print("DISJOINT" if pair.disjoint else "NOT DISJOINT")
+    n1, n2 = generators.random_net_pair(args.seed, args.places, args.transitions, args.norm)
+    fileio.save_net(n1, f"{args.output}_1.net")
+    fileio.save_net(n2, f"{args.output}_2.net")
+    print("DISJOINT" if backward.disjoint(n1, n2, args.settings) else "NOT DISJOINT")
     return EXIT_OK
 
 

@@ -249,6 +249,4 @@ def complement_upset(u: UpSet, settings: Settings = DEFAULT) -> DownSet:
                 f"complement held {len(acc)} ideals, over the budget of {settings.node_budget}, "
                 f"after {done} of {len(u.basis)} basis vectors"
             )
-        if not acc:
-            break
     return DownSet(u.dimension, tuple(sorted(acc)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from regsep.automata import Nfa
-from regsep.backward import forward_cover
+from regsep.backward import disjoint, forward_cover
 from regsep.config import DEFAULT
 from regsep.generators import LAST_LETTER_ALPHABET, random_net_pair
 from regsep.ideals import IdealAntichain
@@ -97,7 +97,7 @@ def corpus_seeds(count: int = 50) -> list[int]:
     seeds = []
     seed = 0
     while len(seeds) < count:
-        if random_net_pair(seed).disjoint:
+        if disjoint(*random_net_pair(seed)):
             seeds.append(seed)
         seed += 1
     return seeds
@@ -108,6 +108,6 @@ def disjoint_corpus():
     """(n1, n2, bundle) for 50 seeded disjoint random pairs."""
     out = []
     for seed in corpus_seeds(50):
-        pair = random_net_pair(seed)
-        out.append((seed, pair.n1, pair.n2, separate(pair.n1, pair.n2)))
+        n1, n2 = random_net_pair(seed)
+        out.append((seed, n1, n2, separate(n1, n2)))
     return out

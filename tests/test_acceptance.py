@@ -53,10 +53,10 @@ def test_criterion_2_backward_engine_oracle_equivalence(capsys):
     ok = True
     seed = 0
     while conclusive < 100 and seed < 400:
-        pair = random_net_pair(
+        n1, n2 = random_net_pair(
             seed, places=(seed % 4) + 1, transitions=seed % 5, norm=3
         )
-        for net in (pair.n1, pair.n2):
+        for net in (n1, n2):
             expected = forward_coverable(net, cap=12)
             if expected is None:
                 continue  # cap hit: excluded as inconclusive

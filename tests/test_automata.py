@@ -366,8 +366,7 @@ class TestNetAutomatonEmpty:
         from regsep.generators import random_net_pair
 
         for seed in range(20):
-            pair = random_net_pair(seed, places=2, transitions=2, norm=1)
-            net = pair.n1
+            net, _ = random_net_pair(seed, places=2, transitions=2, norm=1)
             a = random_nfa(rng, alphabet=net.alphabet)
             empty = net_automaton_intersection_witness(net, a) is None
             joint = naive_language(net, 8) & nfa_words(a, 8)

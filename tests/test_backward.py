@@ -106,8 +106,8 @@ class TestPrestarBasis:
     def test_basis_soundness(self):
         # every basis element reaches a covering marking by forward firing
         for seed in range(25):
-            pair = random_net_pair(seed)
-            net = product(pair.n1, pair.n2)
+            n1, n2 = random_net_pair(seed)
+            net = product(n1, n2)
             result = prestar_basis(net)
             for v in result.basis.basis:
                 probe = LabeledPetriNet(
@@ -121,8 +121,8 @@ class TestPrestarBasis:
 
     def test_basis_minimality(self):
         for seed in range(25):
-            pair = random_net_pair(seed)
-            net = product(pair.n1, pair.n2)
+            n1, n2 = random_net_pair(seed)
+            net = product(n1, n2)
             basis = prestar_basis(net).basis.basis
             for i, v in enumerate(basis):
                 rest = UpSet(net.dimension, tuple(b for j, b in enumerate(basis) if j != i))
@@ -177,8 +177,8 @@ class TestCoverableDisjoint:
     def test_oracle_equivalence_small(self):
         checked = 0
         for seed in range(40):
-            pair = random_net_pair(seed)
-            for net in (pair.n1, pair.n2):
+            n1, n2 = random_net_pair(seed)
+            for net in (n1, n2):
                 expected = forward_coverable(net, cap=12)
                 if expected is None:
                     continue
@@ -206,8 +206,8 @@ class TestWitness:
     def test_witness_replays_on_random_coverable_nets(self):
         found = 0
         for seed in range(60):
-            pair = random_net_pair(seed)
-            net = product(pair.n1, pair.n2)
+            n1, n2 = random_net_pair(seed)
+            net = product(n1, n2)
             word = coverability_witness(net)
             assert (word is not None) == prestar_basis(net).coverable
             if word is None:
@@ -250,11 +250,11 @@ def test_each_offer_reaches_the_antichain_once(monkeypatch):
     # the forward cover prunes witness searches from their start, and a
     # last-letter candidate's verification offers too few markings, so the
     # second run is the verification of `test_each_predecessor_is_computed_once`
-    pair = random_net_pair(31, places=4, transitions=5, norm=3)
-    aut = random_nfa(random.Random(3), 12, pair.n1.alphabet)
+    n1, n2 = random_net_pair(31, places=4, transitions=5, norm=3)
+    aut = random_nfa(random.Random(3), 12, n1.alphabet)
     runs = [
         lambda: prestar_basis(product(*last_letter_pair(3))).coverable,
-        lambda: verify_separator(pair.n1, pair.n2, aut).passed,
+        lambda: verify_separator(n1, n2, aut).passed,
     ]
     for run in runs:
         offers.clear()
@@ -289,14 +289,14 @@ def test_each_predecessor_is_computed_once(monkeypatch):
     # the forward cover prunes the witness searches, so the nets and the
     # automaton are chosen for searches that still compute over 50
     # predecessors each (the last-letter k=5 bit-0 candidate leaves 31 and 54)
-    pair = random_net_pair(31, places=4, transitions=5, norm=3)
-    aut = random_nfa(random.Random(3), 12, pair.n1.alphabet)
+    n1, n2 = random_net_pair(31, places=4, transitions=5, norm=3)
+    aut = random_nfa(random.Random(3), 12, n1.alphabet)
     monkeypatch.setattr(backward, "_pred", counting_pred)
     monkeypatch.setattr(backward, "saturate", counting_saturate)
     monkeypatch.setattr(backward, "deque", Queue)
     monkeypatch.setattr(automata, "saturate", counting_saturate)
     assert not prestar_basis(product(*last_letter_pair(3))).coverable
-    assert not verify_separator(pair.n1, pair.n2, aut).passed
+    assert not verify_separator(n1, n2, aut).passed
     assert len(runs) == 3
     basis_calls = [c for c in runs[0] if c is not None]
     assert len(basis_calls) > 50 and len(set(basis_calls)) == len(basis_calls)

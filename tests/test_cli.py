@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from regsep.backward import disjoint
 from regsep.cli import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_INPUT_ERROR,
@@ -15,7 +16,7 @@ from regsep.cli import (
     EXIT_PROPERTY_FAILED,
     main,
 )
-from regsep.fileio import load_automaton, net_to_dict, save_net
+from regsep.fileio import load_automaton, load_net, net_to_dict, save_net
 from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 
@@ -106,10 +107,10 @@ class TestInvariant:
 
     def test_complement_budget_from_environment(self, tmp_path, monkeypatch, capsys):
         # the saturation fits in 31 nodes, the complement needs 32 ideals
-        pair = random_net_pair(1)
+        n1, n2 = random_net_pair(1)
         p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
-        save_net(pair.n1, str(p1))
-        save_net(pair.n2, str(p2))
+        save_net(n1, str(p1))
+        save_net(n2, str(p2))
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"node_budget": 31}')
         monkeypatch.setenv("REGSEP_CONFIG", str(cfg))
@@ -188,12 +189,12 @@ class TestSeparate:
     def test_t2_level_verify_with_unused_letters(self, tmp_path):
         # the second net declares a letter its transitions never carry; the
         # inner-level check must still line up the alphabets
-        pair = random_net_pair(9)
-        assert pair.disjoint
-        assert set(pair.n2.alphabet) - {t.label for t in pair.n2.transitions}
+        n1, n2 = random_net_pair(9)
+        assert disjoint(n1, n2)
+        assert set(n2.alphabet) - {t.label for t in n2.transitions}
         p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
-        save_net(pair.n1, str(p1))
-        save_net(pair.n2, str(p2))
+        save_net(n1, str(p1))
+        save_net(n2, str(p2))
         out = tmp_path / "o"
         code = main(
             ["separate", str(p1), str(p2), "-o", str(out), "--level", "t2", "--verify"]
@@ -327,12 +328,20 @@ class TestGenerators:
         prefix = tmp_path / "pair"
         assert main(["gen-random", "--seed", "3", "-o", str(prefix)]) == EXIT_OK
         verdict = capsys.readouterr().out.strip()
-        pair = random_net_pair(3)
-        assert verdict == ("DISJOINT" if pair.disjoint else "NOT DISJOINT")
-        from regsep.fileio import load_net
+        n1, n2 = random_net_pair(3)
+        assert verdict == ("DISJOINT" if disjoint(n1, n2) else "NOT DISJOINT")
+        assert load_net(f"{prefix}_1.net") == n1
+        assert load_net(f"{prefix}_2.net") == n2
 
-        assert load_net(f"{prefix}_1.net") == pair.n1
-        assert load_net(f"{prefix}_2.net") == pair.n2
+    def test_gen_random_decides_under_the_configured_budget(self, tmp_path, capsys):
+        # the nets are written before the decision runs out of budget
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_budget": 1}')
+        prefix = tmp_path / "pair"
+        args = ["--config", str(cfg), "gen-random", "--seed", "4", "-o", str(prefix)]
+        assert main(args) == EXIT_BUDGET_EXCEEDED
+        assert "budget exceeded: saturation kept over 1 nodes" in capsys.readouterr().err
+        assert (load_net(f"{prefix}_1.net"), load_net(f"{prefix}_2.net")) == random_net_pair(4)
 
 
 class TestDuplicateKeys:

@@ -128,7 +128,7 @@ def random_automaton_pairs():
     """The (net, automaton) pairs of `test_antichain`'s random automata tests."""
     rng = random.Random(7)
     for seed in range(200):
-        net = random_net_pair(seed).n1
+        net = random_net_pair(seed)[0]
         yield net, random_nfa(rng, rng.randint(2, 5), net.alphabet)
 
 
@@ -174,8 +174,8 @@ class TestForwardCover:
         # them a reachable marking lies below another and is not in the cover
         checked = below_another = 0
         for seed in range(200):
-            pair = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
-            for net in (pair.n1, pair.n2):
+            n1, n2 = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
+            for net in (n1, n2):
                 try:
                     reached = reachable_markings(net, limit=300)
                 except RuntimeError:
@@ -195,8 +195,8 @@ class TestForwardCover:
         rng = random.Random(3)
         accelerated = 0
         for seed in range(200):
-            pair = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
-            for net in (pair.n1, pair.n2):
+            n1, n2 = random_net_pair(seed, places=2 + seed % 4, norm=1 + seed // 4 % 3)
+            for net in (n1, n2):
                 cover = sorted(complete_cover(net))
                 for m in reachable_markings(net, depth=6):
                     assert naive_member_down(m, cover)
@@ -687,8 +687,8 @@ def cover_loop_nets():
         yield product(n1, n2)
         yield product(label_expand(n1, n2), identity_labeled(n2))
     for seed in range(300):
-        pair = random_net_pair(seed, places=2 + seed % 4, transitions=3 + seed % 5, norm=1 + seed // 4 % 3)
-        yield from (pair.n1, pair.n2)
+        n1, n2 = random_net_pair(seed, places=2 + seed % 4, transitions=3 + seed % 5, norm=1 + seed // 4 % 3)
+        yield from (n1, n2)
 
 
 def separation_pairs():
@@ -704,11 +704,11 @@ def separation_pairs():
         yield (f"last-letter-k{k}", *last_letter_pair(k))
     for (places, transitions), seeds in BOTH_NONEMPTY.items():
         for seed in seeds:
-            pair = random_net_pair(seed, places, transitions, norm=3)
-            yield f"both-nonempty-{places}-{transitions}-{seed}", pair.n1, pair.n2
+            n1, n2 = random_net_pair(seed, places, transitions, norm=3)
+            yield f"both-nonempty-{places}-{transitions}-{seed}", n1, n2
     for seed in range(200):
-        pair = random_net_pair(seed)
-        yield f"random-{seed}", pair.n1, pair.n2
+        n1, n2 = random_net_pair(seed)
+        yield f"random-{seed}", n1, n2
 
 
 class TestUncoverableBasis:

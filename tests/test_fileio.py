@@ -78,7 +78,7 @@ class TestNetFormat:
             net_from_dict(raw)
 
     def test_byte_determinism(self, tmp_path):
-        net = random_net_pair(7).n1
+        net = random_net_pair(7)[0]
         p1, p2 = tmp_path / "a.net", tmp_path / "b.net"
         save_net(net, str(p1))
         save_net(net, str(p2))

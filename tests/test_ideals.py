@@ -203,9 +203,9 @@ class TestComplementAgainstFold:
 
     def test_separation_backward_bases(self):
         for seed in range(100):
-            pair = random_net_pair(seed)
-            w = label_expand(pair.n1, pair.n2)
-            basis = prestar_basis(product(w, identity_labeled(pair.n2))).basis
+            n1, n2 = random_net_pair(seed)
+            w = label_expand(n1, n2)
+            basis = prestar_basis(product(w, identity_labeled(n2))).basis
             assert complement_upset(basis) == fold_complement_upset(basis)
 
 

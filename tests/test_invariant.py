@@ -70,8 +70,8 @@ class TestInvariantFromBackward:
 
     def test_complement_runs_within_the_node_budget(self):
         # the saturation keeps 13 nodes; the complement holds up to 32 ideals
-        pair = random_net_pair(1)
-        prod = product(pair.n1, pair.n2)
+        n1, n2 = random_net_pair(1)
+        prod = product(n1, n2)
         budget = Settings(node_budget=32)
         backward = prestar_basis(prod, budget)
         assert len(invariant_from_backward(prod, backward, budget).down.ideals) == 32
@@ -124,8 +124,8 @@ class TestCheckInvariant:
 
     def test_successors_match_brute_force_scan_on_a_large_invariant(self):
         # 10 places, 681 ideals in 178 buckets
-        pair = random_net_pair(98, places=5, transitions=3, norm=3)
-        prod = product(pair.n1, pair.n2)
+        n1, n2 = random_net_pair(98, places=5, transitions=3, norm=3)
+        prod = product(n1, n2)
         down = invariant_from_backward(prod, prestar_basis(prod)).down
         assert len(down.ideals) == 681
         report = check_invariant(prod, down)
@@ -150,8 +150,8 @@ def invariant_check_cases():
     direct = [(f"last-letter-k{k}", product(*last_letter_pair(k))) for k in range(2, 6)]
     for (places, transitions), seeds in BOTH_NONEMPTY.items():
         for seed in seeds:
-            pair = random_net_pair(seed, places, transitions, norm=3)
-            direct.append((f"both-nonempty-{places}-{transitions}-{seed}", product(pair.n1, pair.n2)))
+            n1, n2 = random_net_pair(seed, places, transitions, norm=3)
+            direct.append((f"both-nonempty-{places}-{transitions}-{seed}", product(n1, n2)))
     for name, prod in direct:
         yield f"{name}-direct-cover", prod, DownSet(prod.dimension, tuple(sorted(complete_cover(prod))))
         if name.startswith("last-letter"):

@@ -63,8 +63,7 @@ class TestFire:
     def test_upward_compatibility(self):
         rng = random.Random(99)
         for _ in range(100):
-            pair = random_net_pair(rng.randint(0, 10_000))
-            net = pair.n1
+            net, _ = random_net_pair(rng.randint(0, 10_000))
             m1 = tuple(rng.randint(0, 3) for _ in net.places)
             m2 = tuple(x + rng.randint(0, 2) for x in m1)
             for t in net.transitions:
@@ -147,11 +146,11 @@ class TestProduct:
     def test_bounded_language_law(self):
         hits = 0
         for seed in range(40):
-            pair = random_net_pair(seed, places=2, transitions=2, norm=1)
-            prod = product(pair.n1, pair.n2)
+            n1, n2 = random_net_pair(seed, places=2, transitions=2, norm=1)
+            prod = product(n1, n2)
             lp = set(bounded_language(prod, 6))
-            l1 = set(bounded_language(pair.n1, 6))
-            l2 = set(bounded_language(pair.n2, 6))
+            l1 = set(bounded_language(n1, 6))
+            l2 = set(bounded_language(n2, 6))
             assert lp == (l1 & l2)
             if lp:
                 hits += 1
@@ -184,8 +183,7 @@ class TestIdentityLabeled:
 
     def test_label_image_preserves_language(self):
         for seed in (3, 17, 23):
-            pair = random_net_pair(seed, places=2, transitions=2, norm=1)
-            net = pair.n1
+            net, _ = random_net_pair(seed, places=2, transitions=2, norm=1)
             det = identity_labeled(net)
             mapping = {t.name: t.label for t in net.transitions}
             assert image_words(bounded_language(det, 6), mapping) == bounded_language(
@@ -225,8 +223,7 @@ class TestLabelExpand:
     def test_determinization_language_law(self):
         # the product language is the label image of the transformed product
         for seed in range(20):
-            pair = random_net_pair(seed, places=2, transitions=2, norm=1)
-            n1, n2 = pair.n1, pair.n2
+            n1, n2 = random_net_pair(seed, places=2, transitions=2, norm=1)
             w_det = identity_labeled(n2)
             w = label_expand(n1, n2)
             mapping = {t.name: t.label for t in n2.transitions}
@@ -239,9 +236,7 @@ class TestLabelExpand:
     def test_transformed_product_is_direct_product(self):
         # equal up to transition names and labels, with the labels related
         # by n2's labeling: saturating either product gives the same basis
-        pairs = [make_worked_pair()] + [
-            (pair.n1, pair.n2) for pair in map(random_net_pair, range(100))
-        ]
+        pairs = [make_worked_pair()] + list(map(random_net_pair, range(100)))
         for n1, n2 in pairs:
             direct = product(n1, n2)
             moved = product(label_expand(n1, n2), identity_labeled(n2))
@@ -293,6 +288,6 @@ class TestCovers:
 class TestBoundedLanguageOracleAgreement:
     def test_matches_naive_enumeration(self):
         for seed in range(15):
-            pair = random_net_pair(seed, places=2, transitions=2, norm=1)
-            for net in (pair.n1, pair.n2):
+            n1, n2 = random_net_pair(seed, places=2, transitions=2, norm=1)
+            for net in (n1, n2):
                 assert set(bounded_language(net, 5)) == naive_language(net, 5)

@@ -159,6 +159,19 @@ def test_one_json_reader():
     assert found == ["config.py:read_json"]
 
 
+def test_generators_import_only_nets_and_errors():
+    # the generators draw inputs and decide nothing about them, so
+    # `generators.py` takes from the package only the nets and the errors
+    [tree] = [tree for name, tree in _modules() if name == "generators.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+    assert sorted(m for m in found if m.startswith((".", "regsep"))) == [".errors", ".petri"]
+
+
 def test_one_saturation_per_question():
     # the basis, the coverability verdict and the witness each have one
     # saturation; a caller that needs a verdict and a basis asks for both
