@@ -8,14 +8,14 @@ so serialized artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .backward import replay_chain, saturate
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError, InputError
-from .ideals import OmegaMarking, check_omega_marking, omega_leq
-from .petri import LabeledPetriNet
+from .ideals import OmegaMarking, _derived, check_omega_marking, omega_leq
+from .petri import LabeledPetriNet, _escape
 
 Edge = tuple[str, str, str]
 
@@ -81,7 +81,8 @@ def member(a: Nfa, word: Iterable[str]) -> bool:
 
 
 def _subset_name(subset: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(subset)) + "}"
+    """The state "{s1,s2}", each name escaped by `petri._escape` and "" written "\\e"."""
+    return "{" + ",".join(_escape(s, ",") or "\\e" for s in sorted(subset)) + "}"
 
 
 def _subset_construction(
@@ -122,7 +123,8 @@ def determinize(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
 
     start = frozenset(a.initial)
     names, edges = _subset_construction(start, post, a.alphabet, settings)
-    return Nfa(
+    return _derived(
+        Nfa,
         states=tuple(names.values()),
         alphabet=a.alphabet,
         transitions=tuple(edges),
@@ -145,7 +147,8 @@ def backward_complement(a: Nfa, settings: Settings = DEFAULT) -> Nfa:
 
     start = frozenset(a.states) - a.final
     names, moves = _subset_construction(start, cpre, a.alphabet, settings)
-    return Nfa(
+    return _derived(
+        Nfa,
         states=tuple(names.values()),
         alphabet=a.alphabet,
         transitions=tuple((p, letter, s) for s, letter, p in moves),
@@ -167,7 +170,7 @@ def complement(d: Nfa) -> Nfa:
     """Flip the final set; requires a complete DFA."""
     if not is_complete_dfa(d):
         raise InputError("complement requires a complete deterministic automaton")
-    return replace(d, final=frozenset(d.states) - d.final)
+    return _derived(Nfa, d, final=frozenset(d.states) - d.final)
 
 
 def relabel(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
@@ -177,16 +180,15 @@ def relabel(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
         raise InputError(f"relabel map misses letters: {missing}")
     alphabet = tuple(sorted({mapping[x] for x in a.alphabet}))
     edges = tuple(sorted({(s, mapping[x], r) for s, x, r in a.transitions}))
-    return replace(a, alphabet=alphabet, transitions=edges)
+    return _derived(Nfa, a, alphabet=alphabet, transitions=edges)
 
 
 def widen_alphabet(a: Nfa, letters: Iterable[str]) -> Nfa:
-    """Extend the declared alphabet (no transitions added for new letters)."""
-    known = set(a.alphabet)
-    extra = tuple(x for x in letters if x not in known)
+    """Extend the declared alphabet by the new letters, sorted (no transitions added for them)."""
+    extra = set(letters).difference(a.alphabet)
     if not extra:
         return a
-    return replace(a, alphabet=a.alphabet + tuple(sorted(extra)))
+    return _derived(Nfa, a, alphabet=a.alphabet + tuple(sorted(extra)))
 
 
 def minimize(d: Nfa) -> Nfa:
@@ -235,7 +237,8 @@ def minimize(d: Nfa) -> Nfa:
     firsts: dict[int, str] = {}
     for s in reachable:
         firsts.setdefault(block[s], s)
-    return Nfa(
+    return _derived(
+        Nfa,
         states=tuple(f"m{b}" for b in firsts),
         alphabet=d.alphabet,
         transitions=tuple(

@@ -14,8 +14,8 @@ from typing import Hashable, Literal, Mapping, Sequence, TypeVar
 
 from .config import DEFAULT, Settings
 from .errors import BudgetExceededError
-from .ideals import OMEGA, Antichain, IdealAntichain, IdealIndex, Marking, UpSet, check_marking
-from .ideals import ideal_fire, member_up, omega_leq
+from .ideals import OMEGA, Antichain, IdealAntichain, IdealIndex, Marking, UpSet, _derived
+from .ideals import check_marking, ideal_fire, member_up, omega_leq
 from .petri import LabeledPetriNet, covers, fire, product
 
 Node = TypeVar("Node", bound=Hashable)
@@ -181,7 +181,7 @@ def prestar_basis(net: LabeledPetriNet, settings: Settings = DEFAULT) -> Backwar
     one: the one-state case of `saturate`, unpruned, so every node is
     expanded and no cover is computed."""
     chains, _, iterations = saturate(net, (None,), _one_state(net), settings)
-    basis = UpSet(net.dimension, tuple(sorted(chains[None])))
+    basis = _derived(UpSet, dimension=net.dimension, basis=tuple(sorted(chains[None])))
     return BackwardResult(basis, iterations, member_up(net.initial, basis))
 
 

@@ -34,6 +34,17 @@ OmegaMarking = tuple[Coord, ...]
 _BITS = tuple(1 << i for i in range(64))  # places past 64 get no bucket bit: less pruning
 
 
+def _derived(cls: type, base: object | None = None, **fields: object):
+    """A `cls` with the given fields, the others taken from `base`, built
+    without `__post_init__`: for objects derived from validated ones, which
+    are valid by construction (tests/test_derived.py checks each)."""
+    obj = object.__new__(cls)
+    if base is not None:
+        obj.__dict__.update((name, getattr(base, name)) for name in cls.__dataclass_fields__)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def vector_str(u: OmegaMarking) -> str:
     return "(" + ",".join("w" if c == OMEGA else str(c) for c in u) + ")"
 
@@ -249,4 +260,4 @@ def complement_upset(u: UpSet, settings: Settings = DEFAULT) -> DownSet:
                 f"complement held {len(acc)} ideals, over the budget of {settings.node_budget}, "
                 f"after {done} of {len(u.basis)} basis vectors"
             )
-    return DownSet(u.dimension, tuple(sorted(acc)))
+    return _derived(DownSet, dimension=u.dimension, ideals=tuple(sorted(acc)))

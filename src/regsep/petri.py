@@ -6,10 +6,11 @@ covers the final marking componentwise.  Epsilon labels are not allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
-from .ideals import Marking, check_marking, ideal_fire, omega_leq
+from .ideals import Marking, _derived, check_marking, ideal_fire, omega_leq
 
 
 def ceil_log2(x: int) -> int:
@@ -55,7 +56,10 @@ class LabeledPetriNet:
                 raise InputError(f"transition {t.name!r} has label {t.label!r} outside the alphabet")
             check_marking(t.pre, d)
             check_marking(t.post, d)
-        object.__setattr__(self, "_by_name", {t.name: t for t in self.transitions})
+
+    @cached_property
+    def _by_name(self) -> dict[str, Transition]:
+        return {t.name: t for t in self.transitions}
 
     @property
     def dimension(self) -> int:
@@ -63,7 +67,7 @@ class LabeledPetriNet:
 
     def transition(self, name: str) -> Transition:
         try:
-            return self._by_name[name]  # type: ignore[attr-defined]
+            return self._by_name[name]
         except KeyError:
             raise InputError(f"unknown transition {name!r}") from None
 
@@ -90,8 +94,23 @@ def fire(net: LabeledPetriNet, m: Marking, t: str) -> Marking | None:
     return ideal_fire(m, tr.pre, tr.post)
 
 
+def _escape(name: str, sep: str) -> str:
+    """`name` with a backslash before each backslash and `sep`, so that names
+    joined by `sep` split back one way only."""
+    return name.replace("\\", "\\\\").replace(sep, "\\" + sep)
+
+
+def _letters(n: LabeledPetriNet) -> tuple[str, ...]:
+    """The transition names of `n` as an alphabet, which has no empty letter."""
+    letters = tuple(t.name for t in n.transitions)
+    if "" in letters:
+        raise InputError("epsilon labels are not allowed")
+    return letters
+
+
 def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
-    """Synchronized product: one transition per equal-label pair.
+    """Synchronized product: one transition "(t1,t2)" per equal-label pair,
+    with "," and "\\" escaped in both names (see `_escape`).
 
     The language of the product is the intersection of the languages.
     Colliding place names are disambiguated by prefixing with "L." / "R.".
@@ -101,26 +120,19 @@ def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
         places2 = tuple("R." + p for p in n2.places)
     else:
         places1, places2 = n1.places, n2.places
-    places = places1 + places2
     known = set(n1.alphabet)
-    alphabet = n1.alphabet + tuple(a for a in n2.alphabet if a not in known)
-    transitions = []
-    for t1 in n1.transitions:
-        for t2 in n2.transitions:
-            if t1.label != t2.label:
-                continue
-            transitions.append(
-                Transition(
-                    name=f"({t1.name},{t2.name})",
-                    label=t1.label,
-                    pre=t1.pre + t2.pre,
-                    post=t1.post + t2.post,
-                )
-            )
-    return LabeledPetriNet(
-        places=places,
-        alphabet=alphabet,
-        transitions=tuple(transitions),
+    named2 = [(t2, _escape(t2.name, ",")) for t2 in n2.transitions]
+    transitions = tuple(
+        Transition(f"({name1},{name2})", t1.label, t1.pre + t2.pre, t1.post + t2.post)
+        for t1, name1 in [(t1, _escape(t1.name, ",")) for t1 in n1.transitions]
+        for t2, name2 in named2
+        if t1.label == t2.label
+    )
+    return _derived(
+        LabeledPetriNet,
+        places=places1 + places2,
+        alphabet=n1.alphabet + tuple(a for a in n2.alphabet if a not in known),
+        transitions=transitions,
         initial=n1.initial + n2.initial,
         final=n1.final + n2.final,
     )
@@ -128,30 +140,26 @@ def product(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
 
 def identity_labeled(n: LabeledPetriNet) -> LabeledPetriNet:
     """Relabel every transition by its own name; the alphabet becomes the name list."""
-    return replace(
-        n,
-        alphabet=tuple(t.name for t in n.transitions),
-        transitions=tuple(replace(t, label=t.name) for t in n.transitions),
-    )
+    transitions = tuple(Transition(t.name, t.name, t.pre, t.post) for t in n.transitions)
+    return _derived(LabeledPetriNet, n, alphabet=_letters(n), transitions=transitions)
 
 
 def label_expand(n1: LabeledPetriNet, n2: LabeledPetriNet) -> LabeledPetriNet:
     """Expand n1 against n2's transition names.
 
     For each transition t1 of n1 with label a and each transition t of n2
-    with the same label, emit a copy of t1 named "t1^t" and labeled t.  The
-    resulting net is over the alphabet of n2's transition names.
+    with the same label, emit a copy of t1 named "t1^t", with "^" and "\\"
+    escaped in both names (see `_escape`), and labeled t.  The resulting net
+    is over the alphabet of n2's transition names.
     """
-    return replace(
-        n1,
-        alphabet=tuple(t.name for t in n2.transitions),
-        transitions=tuple(
-            replace(t1, name=f"{t1.name}^{t.name}", label=t.name)
-            for t1 in n1.transitions
-            for t in n2.transitions
-            if t1.label == t.label
-        ),
+    named2 = [(t, _escape(t.name, "^")) for t in n2.transitions]
+    transitions = tuple(
+        Transition(f"{name1}^{name2}", t.name, t1.pre, t1.post)
+        for t1, name1 in [(t1, _escape(t1.name, "^")) for t1 in n1.transitions]
+        for t, name2 in named2
+        if t1.label == t.label
     )
+    return _derived(LabeledPetriNet, n1, alphabet=_letters(n2), transitions=transitions)
 
 
 def injectively_labeled(n: LabeledPetriNet) -> bool:

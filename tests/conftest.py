@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked example pair, the last-letter candidate NFAs
+"""Shared fixtures: the worked example pair and its variant with names that
+join ambiguously, the last-letter candidate NFAs
 and their prefix-shaped mirror images, the automaton of all words, the
 random disjoint corpus and a net's complete forward cover."""
 
@@ -28,6 +29,28 @@ def make_worked_pair() -> tuple[LabeledPetriNet, LabeledPetriNet]:
         places=("q",),
         alphabet=("a",),
         transitions=(Transition("s_a", "a", (1,), (0,)),),
+        initial=(2,),
+        final=(1,),
+    )
+    return n1, n2
+
+
+def joined_names_pair(sep: str) -> tuple[LabeledPetriNet, LabeledPetriNet]:
+    """The worked pair with two transitions per net, all labeled "x": the
+    first net's "a<sep>b" and "a", the second's "c" and "b<sep>c".  Joined
+    by `sep` without escaping, "a<sep>b" with "c" and "a" with "b<sep>c"
+    give the same name."""
+    n1 = LabeledPetriNet(
+        places=("p",),
+        alphabet=("x",),
+        transitions=(Transition(f"a{sep}b", "x", (0,), (1,)), Transition("a", "x", (0,), (1,))),
+        initial=(0,),
+        final=(2,),
+    )
+    n2 = LabeledPetriNet(
+        places=("q",),
+        alphabet=("x",),
+        transitions=(Transition("c", "x", (1,), (0,)), Transition(f"b{sep}c", "x", (1,), (0,))),
         initial=(2,),
         final=(1,),
     )

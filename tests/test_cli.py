@@ -20,7 +20,7 @@ from regsep.fileio import load_automaton, load_net, net_to_dict, save_net
 from regsep.generators import last_letter_net, last_letter_pair, random_net_pair
 from regsep.petri import LabeledPetriNet, Transition
 
-from .conftest import make_worked_pair
+from .conftest import joined_names_pair, make_worked_pair
 
 
 @pytest.fixture()
@@ -80,6 +80,18 @@ class TestDisjoint:
         p1, _ = worked_files
         assert main(["disjoint", p1, p1]) == EXIT_PROPERTY_FAILED
         assert "NOT DISJOINT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sep", [",", "^"])
+def test_names_that_join_ambiguously(sep, tmp_path, capsys):
+    # valid nets whose joined transition names collided without escaping
+    n1, n2 = joined_names_pair(sep)
+    p1, p2 = tmp_path / "n1.net", tmp_path / "n2.net"
+    save_net(n1, str(p1))
+    save_net(n2, str(p2))
+    assert main(["disjoint", str(p1), str(p2)]) == EXIT_OK
+    assert main(["separate", str(p1), str(p2), "-o", str(tmp_path / "out"), "--verify"]) == EXIT_OK
+    assert "verified" in capsys.readouterr().out
 
 
 class TestInvariant:

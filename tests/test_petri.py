@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from regsep.backward import disjoint
 from regsep.errors import InputError
 from regsep.generators import random_net_pair
 from regsep.petri import (
@@ -20,9 +21,10 @@ from regsep.petri import (
     net_size,
     product,
 )
-from regsep.verify import bounded_language
+from regsep.separator import separate
+from regsep.verify import bounded_language, verify_separator
 
-from .conftest import make_worked_pair
+from .conftest import joined_names_pair, make_worked_pair
 from .oracles import image_words, naive_language
 
 
@@ -250,6 +252,32 @@ class TestLabelExpand:
             assert [label_of[t.label] for t in moved.transitions] == [
                 t.label for t in direct.transitions
             ]
+
+
+class TestJoinedNames:
+    """Derived names escape "\\" and the separator in each joined name, so
+    valid nets give distinct names; names without either stay as they are."""
+
+    def test_label_expand(self):
+        n1, n2 = joined_names_pair("^")
+        w = label_expand(n1, n2)
+        assert [t.name for t in w.transitions] == ["a\\^b^c", "a\\^b^b\\^c", "a^c", "a^b\\^c"]
+        assert verify_separator(n1, n2, separate(n1, n2).separator).passed
+
+    def test_product(self):
+        n1, n2 = joined_names_pair(",")
+        prod = product(n1, n2)
+        assert [t.name for t in prod.transitions] == ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"]
+        assert disjoint(n1, n2)
+
+    def test_backslashes(self):
+        n1, n2 = joined_names_pair("\\")
+        assert [t.name for t in product(n1, n2).transitions] == [
+            "(a\\\\b,c)", "(a\\\\b,b\\\\c)", "(a,c)", "(a,b\\\\c)"
+        ]
+        assert [t.name for t in label_expand(n1, n2).transitions] == [
+            "a\\\\b^c", "a\\\\b^b\\\\c", "a^c", "a^b\\\\c"
+        ]
 
 
 class TestNetSize:

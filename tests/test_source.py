@@ -251,3 +251,38 @@ def test_no_dead_methods():
         and func.name not in used
     ]
     assert sorted(found) == sorted(UNUSED_METHODS)
+
+
+def test_only_derivations_skip_validation():
+    # the public constructors, the file readers and the CLI validate what
+    # comes from outside; only what is derived from validated objects is
+    # built through `ideals._derived`, and tests/test_derived.py rebuilds it
+    found = []
+    for name, tree in _modules():
+        owner = _owners(tree)
+        found += [
+            f"{name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "_derived" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        if name in ("fileio.py", "cli.py", "config.py", "generators.py"):
+            assert not any(
+                alias.name == "_derived"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            ), name
+    assert sorted(found) == [
+        "automata.py:backward_complement",
+        "automata.py:complement",
+        "automata.py:determinize",
+        "automata.py:minimize",
+        "automata.py:relabel",
+        "automata.py:widen_alphabet",
+        "backward.py:prestar_basis",
+        "ideals.py:complement_upset",
+        "petri.py:identity_labeled",
+        "petri.py:label_expand",
+        "petri.py:product",
+    ]
